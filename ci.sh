@@ -280,6 +280,18 @@ EOF
     ./build-ci/tests/test_obs --gtest_filter=\
 'ObsDeterminism.TracingOnOffBitIdenticalAcrossThreadCounts' \
         > /dev/null
+    # Repository benchmark: run.py builds perfbench/ (Release, from
+    # ../src) with its attribution unit tests, then one short ingest
+    # run whose output checks gate the snapshot format end to end —
+    # exactly-once reconciliation, the recovered row count and a clean
+    # scrub of the state directory it leaves. Throughput is not gated.
+    echo "==== perfbench ingest gate (Release) ===="
+    python3 perfbench/run.py --workload ingest --seed 1 --seconds 10 \
+        > build-ci/perfbench_ingest.out
+    tail -n 1 build-ci/perfbench_ingest.out | grep -q '"correct": true' || {
+        echo "perfbench: ingest output checks failed" >&2; exit 1; }
+    "${CARGO_TARGET_DIR:-.bench_build}/perfbench/perfbench_tests" \
+        > /dev/null
 fi
 
 if [ "$DO_TSAN" = 1 ]; then

@@ -11,6 +11,45 @@
 
 namespace nazar::driftlog {
 
+Column
+Column::fromDictionary(ValueType type, std::vector<Value> dict,
+                       std::vector<Id> ids)
+{
+    NAZAR_CHECK(dict.size() <
+                    static_cast<size_t>(std::numeric_limits<Id>::max()),
+                "column dictionary overflow");
+    Column col(type);
+    for (size_t i = 0; i < dict.size(); ++i) {
+        NAZAR_CHECK(dict[i].isNull() || dict[i].type() == type,
+                    "column image: dictionary entry of type " +
+                        toString(dict[i].type()) + " in a " +
+                        toString(type) + " column");
+        NAZAR_CHECK(i == 0 || dict[i - 1] < dict[i],
+                    "column image: dictionary not strictly ascending "
+                    "at id " + std::to_string(i));
+        // Sorted input: every insert lands at the end, O(1) each.
+        col.index_.emplace_hint(col.index_.end(), dict[i],
+                                static_cast<Id>(i));
+    }
+    std::vector<bool> referenced(dict.size(), false);
+    for (Id id : ids) {
+        NAZAR_CHECK(id < dict.size(),
+                    "column image: id " + std::to_string(id) +
+                        " out of range for dictionary size " +
+                        std::to_string(dict.size()));
+        referenced[id] = true;
+    }
+    NAZAR_CHECK(std::find(referenced.begin(), referenced.end(), false) ==
+                    referenced.end(),
+                "column image: dictionary entry referenced by no row");
+    if (!dict.empty() && dict.front().isNull())
+        col.nullCount_ = static_cast<size_t>(
+            std::count(ids.begin(), ids.end(), Id{0}));
+    col.dict_ = std::move(dict);
+    col.ids_ = std::move(ids);
+    return col;
+}
+
 const Value &
 Column::dictValue(Id id) const
 {

@@ -63,6 +63,18 @@ class Column
 
     explicit Column(ValueType type) : type_(type) {}
 
+    /**
+     * Rebuild a column from its sorted dictionary and id vector (the
+     * snapshot column image). Validates the class invariants instead
+     * of trusting the input: the dictionary must be strictly
+     * ascending in Value total order, every entry NULL or of @p type
+     * and referenced by at least one row, and every id below the
+     * dictionary size. nullCount is recomputed. O(n + m).
+     * @throws NazarError when any check fails.
+     */
+    static Column fromDictionary(ValueType type, std::vector<Value> dict,
+                                 std::vector<Id> ids);
+
     /** Declared type of the column (cells are this type or NULL). */
     ValueType type() const { return type_; }
 

@@ -2,10 +2,11 @@
  * @file
  * CSV import/export for drift-log tables.
  *
- * Gives the drift log durable, interoperable persistence (the cloud
- * prototype's Aurora tables can be dumped/loaded as CSV; the
- * durability layer's snapshots embed the pending table this way) and
- * feeds the `nazar_ops` command-line tool.
+ * Gives the drift log an interoperable text form (the cloud
+ * prototype's Aurora tables can be dumped/loaded as CSV) and feeds the
+ * `nazar_ops` command-line tool. The durability layer's snapshots do
+ * not use it: they store the binary column image
+ * (persist::putTableImage).
  *
  * Format: header row with column names; RFC-4180-style quoting (cells
  * containing commas, quotes or newlines are wrapped in double quotes,

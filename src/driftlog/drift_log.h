@@ -77,9 +77,10 @@ class DriftLog
 
     /**
      * Adopt a table that already has the canonical schema (e.g. one
-     * read back from a CSV snapshot). Cell-exact: unlike re-adding
-     * entries, no formatting round-trip happens, and the obs ingest
-     * counter is not advanced. Throws NazarError on a schema mismatch.
+     * read back from a snapshot's column image or a CSV file).
+     * Cell-exact: unlike re-adding entries, no formatting round-trip
+     * happens, and the obs ingest counter is not advanced. Throws
+     * NazarError on a schema mismatch.
      */
     static DriftLog fromTable(Table table);
 

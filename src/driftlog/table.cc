@@ -42,6 +42,27 @@ Table::Table(Schema schema) : schema_(std::move(schema))
         columns_.emplace_back(schema_.column(i).type);
 }
 
+Table
+Table::fromColumns(Schema schema, std::vector<Column> columns)
+{
+    NAZAR_CHECK(columns.size() == schema.columnCount(),
+                "table has " + std::to_string(schema.columnCount()) +
+                    " columns, got " + std::to_string(columns.size()));
+    for (size_t i = 0; i < columns.size(); ++i) {
+        NAZAR_CHECK(columns[i].type() == schema.column(i).type,
+                    "type mismatch in column " + schema.column(i).name);
+        NAZAR_CHECK(columns[i].size() == columns[0].size(),
+                    "column " + schema.column(i).name + " has " +
+                        std::to_string(columns[i].size()) + " rows, " +
+                        schema.column(0).name + " has " +
+                        std::to_string(columns[0].size()));
+    }
+    Table table(std::move(schema));
+    table.rowCount_ = columns.empty() ? 0 : columns[0].size();
+    table.columns_ = std::move(columns);
+    return table;
+}
+
 void
 Table::append(const Row &row)
 {

@@ -62,6 +62,13 @@ class Table
   public:
     explicit Table(Schema schema);
 
+    /**
+     * Adopt prebuilt columns (see Column::fromDictionary): one per
+     * schema column, each of the schema's type, all the same length.
+     * @throws NazarError when any check fails.
+     */
+    static Table fromColumns(Schema schema, std::vector<Column> columns);
+
     const Schema &schema() const { return schema_; }
     size_t rowCount() const { return rowCount_; }
 

@@ -1,10 +1,8 @@
 #include "persist/cloud_persist.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.h"
-#include "driftlog/csv.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -16,6 +14,9 @@ namespace {
 
 constexpr uint8_t kFlagHasUpload = 1;
 constexpr uint8_t kFlagFromDevice = 2;
+
+/** The single-file snapshot of the pre-chain layout. */
+constexpr char kLegacySnapshotName[] = "snapshot.bin";
 
 std::string
 blobKey(int64_t id, const char *kind)
@@ -137,9 +138,7 @@ applySnapshot(RecoveredState &st, SnapshotData &&snap)
     st.nextVersionId = snap.nextVersionId;
     st.totalIngested = snap.totalIngested;
     st.dedupHits = snap.dedupHits;
-    std::istringstream csv(snap.driftLogCsv);
-    st.log = driftlog::DriftLog::fromTable(
-        driftlog::readCsv(st.log.table().schema(), csv));
+    st.log = std::move(snap.driftLog);
     st.uploads = std::move(snap.uploads);
     st.dedup = std::move(snap.dedup);
     st.blobs = std::move(snap.blobs);
@@ -171,7 +170,7 @@ collectChainFiles(const fs::path &dir)
 /** What the snapshot-chain loader tells CloudPersistence. */
 struct ChainRecovery
 {
-    bool loaded = false; ///< A chain (or legacy snapshot) was applied.
+    bool loaded = false; ///< A snapshot chain was applied.
     uint64_t headId = 0;
     uint32_t headCrc = 0;
     uint64_t headLastWalSeq = 0;
@@ -179,29 +178,30 @@ struct ChainRecovery
 };
 
 /**
- * Load the newest snapshot chain (or the legacy snapshot.bin) into
- * @p st. A delta whose base is missing or CRC-mismatched is a broken
- * chain: recovery REFUSES (NazarError) rather than silently adopting
- * stale state — the base provably existed when the delta committed,
- * so its absence means the directory was damaged outside the
- * protocol.
+ * Load the newest snapshot chain into @p st. A delta whose base is
+ * missing or CRC-mismatched is a broken chain: recovery REFUSES
+ * (NazarError) rather than silently adopting stale state — the base
+ * provably existed when the delta committed, so its absence means
+ * the directory was damaged outside the protocol.
  */
 ChainRecovery
 loadSnapshotChain(RecoveredState &st, const fs::path &dir,
                   size_t dedup_window)
 {
+    // The pre-chain layout kept the whole state in snapshot.bin with
+    // the drift log as CSV, a payload this build cannot read. Its WAL
+    // was truncated when it was written, so recovering without it
+    // would silently drop that state: refuse, and leave it in place.
+    std::error_code ec;
+    NAZAR_CHECK(!fs::exists(dir / kLegacySnapshotName, ec),
+                "recover: " + (dir / kLegacySnapshotName).string() +
+                    " is a pre-chain snapshot (drift log as CSV, no "
+                    "NZIMG1 format tag) that this build cannot read; "
+                    "refusing to recover without it");
     ChainRecovery out;
     std::map<uint64_t, ChainFile> files = collectChainFiles(dir);
-    if (files.empty()) {
-        // Legacy layout (pre-chain): a single snapshot.bin.
-        auto snap = loadSnapshotFile(dir / "snapshot.bin");
-        if (snap.has_value()) {
-            out.headLastWalSeq = snap->lastWalSeq;
-            applySnapshot(st, std::move(*snap));
-            out.loaded = true;
-        }
+    if (files.empty())
         return out;
-    }
 
     // Walk head -> base until a full snapshot anchors the chain.
     const ChainFile *cur = &files.rbegin()->second;
@@ -475,9 +475,8 @@ CloudPersistence::nextSnapshotIsFull() const
 }
 
 void
-CloudPersistence::writeSnapshot(SnapshotData data)
+CloudPersistence::writeSnapshot(SnapshotData &data)
 {
-    NAZAR_SPAN("persist.snapshot");
     data.lastWalSeq = wal_->lastSeq();
     ChainHeader header;
     header.kind = ChainKind::kFull;
@@ -532,9 +531,9 @@ CloudPersistence::gcSupersededChain()
 {
     // Safety invariant: only called right after a FULL snapshot
     // committed, so the recovery chain is exactly {chainHeadId_} and
-    // every older chain file (and the legacy snapshot.bin) is
-    // superseded. Unlinks are best-effort: a survivor is harmless
-    // (recovery picks the newest chain) and must not poison the log.
+    // every older chain file is superseded. Unlinks are best-effort:
+    // a survivor is harmless (recovery picks the newest chain) and
+    // must not poison the log.
     fs::path dir(config_.dir);
     std::error_code ec;
     std::vector<fs::path> victims;
@@ -544,8 +543,6 @@ CloudPersistence::gcSupersededChain()
         if (parsed.has_value() && parsed->first < chainHeadId_)
             victims.push_back(entry.path());
     }
-    if (fs::exists(dir / "snapshot.bin", ec))
-        victims.push_back(dir / "snapshot.bin");
     uint64_t removed = 0;
     for (const auto &victim : victims) {
         if (env_.remove("env.snap.unlink", victim))
@@ -677,23 +674,12 @@ scrubStateDir(const fs::path &dir)
         }
     }
 
-    // --- legacy snapshot.bin ----------------------------------------
-    if (fs::exists(dir / "snapshot.bin", ec)) {
-        auto snap = loadSnapshotFile(dir / "snapshot.bin");
-        if (snap.has_value()) {
-            report.legacySnapshot = true;
-            if (!valid.empty())
-                report.notes.push_back(
-                    "stale legacy snapshot.bin awaiting GC");
-        } else if (valid.empty()) {
-            report.ok = false;
-            report.issues.push_back(
-                "snapshot.bin is corrupt and no chain exists");
-        } else {
-            report.notes.push_back(
-                "unreadable legacy snapshot.bin (not part of the "
-                "recovery chain)");
-        }
+    // --- pre-chain snapshot.bin: recovery refuses the directory ---
+    if (fs::exists(dir / kLegacySnapshotName, ec)) {
+        report.ok = false;
+        report.issues.push_back(
+            "pre-chain snapshot.bin present (CSV payload, unreadable "
+            "by this build): recovery refuses this directory");
     }
     return report;
 }

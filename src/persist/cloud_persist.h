@@ -99,10 +99,11 @@ struct VersionBlobs
 };
 
 /**
- * Read-only recovery: load the snapshot (when valid) and replay the
- * WAL. Used by `nazar_ops recover` and by tests; Cloud recovery goes
- * through CloudPersistence, which additionally opens the WAL for
- * append (truncating any torn tail).
+ * Read-only recovery: load the snapshot chain (when valid) and replay
+ * the WAL. Used by `nazar_ops recover` and by tests; Cloud recovery
+ * goes through CloudPersistence, which additionally opens the WAL for
+ * append (truncating any torn tail). Both throw NazarError, and touch
+ * nothing, when @p dir holds a pre-chain `snapshot.bin`.
  *
  * @param dedup_window Dedup window size to replay ingests with; must
  *                     match the CloudConfig the WAL was written under.
@@ -137,7 +138,6 @@ struct ScrubReport
     uint64_t chainFiles = 0;       ///< Valid chain files present.
     uint64_t chainLength = 0;      ///< Elements in the recovery chain.
     uint64_t chainBytes = 0;       ///< Payload bytes across chain files.
-    bool legacySnapshot = false;   ///< A readable snapshot.bin exists.
 };
 
 /**
@@ -227,9 +227,11 @@ class CloudPersistence
      * Write a FULL chain snapshot (rename-on-commit), truncate the
      * WAL, and GC every superseded chain file (safety invariant: a
      * committed full IS the whole recovery chain, so everything older
-     * is removable). data.lastWalSeq is filled in from the WAL.
+     * is removable). data.lastWalSeq is filled in from the WAL; the
+     * rest of @p data is only read. The caller owns the
+     * `persist.snapshot` span, so it can cover the state capture too.
      */
-    void writeSnapshot(SnapshotData data);
+    void writeSnapshot(SnapshotData &data);
 
     /**
      * Write a DELTA chain snapshot: archive the live WAL's records
@@ -262,7 +264,7 @@ class CloudPersistence
   private:
     uint64_t append(WalRecordType type, const std::string &payload);
 
-    /** Unlink chain files older than the head + the legacy snapshot. */
+    /** Unlink chain files older than the head. */
     void gcSupersededChain();
 
     PersistConfig config_;

@@ -9,24 +9,51 @@ namespace nazar::persist {
 
 namespace {
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/**
+ * Slice-by-8 tables: kCrcTables[0] is the classic bytewise table of the
+ * reflected 0xEDB88320 polynomial, and kCrcTables[k][b] is the CRC of
+ * byte b followed by k zero bytes, so one lookup per byte of an 8-byte
+ * word folds the whole word into the register at once.
+ */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < t.size(); ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
 }
 
-const std::array<uint32_t, 256> &
-crcTable()
+constexpr CrcTables kCrcTables = makeCrcTables();
+
+/** Little-endian 32-bit load from any alignment (one load on x86). */
+uint32_t
+loadLe32(const unsigned char *p)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
-    return table;
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+}
+
+/** Append the little-endian bytes of @p v as one word. */
+template <typename T>
+void
+appendLe(std::string &buf, T v)
+{
+    char bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i)
+        bytes[i] = static_cast<char>(v >> (8 * i));
+    buf.append(bytes, sizeof(T));
 }
 
 } // namespace
@@ -34,11 +61,19 @@ crcTable()
 uint32_t
 crc32Update(uint32_t crc, const void *data, size_t len)
 {
-    const auto &table = crcTable();
+    const auto &t = kCrcTables;
     const auto *p = static_cast<const unsigned char *>(data);
     crc ^= 0xFFFFFFFFu;
-    for (size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+    for (; len >= 8; len -= 8, p += 8) {
+        uint32_t lo = loadLe32(p) ^ crc;
+        uint32_t hi = loadLe32(p + 4);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+              t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; --len, ++p)
+        crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
@@ -51,15 +86,13 @@ crc32(const void *data, size_t len)
 void
 Writer::putU32(uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        putU8(static_cast<uint8_t>(v >> (8 * i)));
+    appendLe(buf_, v);
 }
 
 void
 Writer::putU64(uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        putU8(static_cast<uint8_t>(v >> (8 * i)));
+    appendLe(buf_, v);
 }
 
 void
@@ -69,6 +102,22 @@ Writer::putF64(double v)
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
     putU64(bits);
+}
+
+void
+Writer::putU32Block(const uint32_t *v, size_t n)
+{
+    // One resize, then shift-stores the compiler folds into word
+    // stores: endian-neutral like putU32, without a per-word append.
+    size_t at = buf_.size();
+    buf_.resize(at + n * sizeof(*v));
+    auto *d = reinterpret_cast<unsigned char *>(buf_.data() + at);
+    for (size_t i = 0; i < n; ++i, d += sizeof(*v)) {
+        d[0] = static_cast<unsigned char>(v[i]);
+        d[1] = static_cast<unsigned char>(v[i] >> 8);
+        d[2] = static_cast<unsigned char>(v[i] >> 16);
+        d[3] = static_cast<unsigned char>(v[i] >> 24);
+    }
 }
 
 void
@@ -141,6 +190,17 @@ Reader::getString()
 }
 
 void
+Reader::getU32Block(uint32_t *out, size_t n)
+{
+    NAZAR_CHECK(n <= remaining() / sizeof(*out),
+                "persist: u32 block exceeds buffer");
+    const auto *p =
+        reinterpret_cast<const unsigned char *>(need(n * sizeof(*out)));
+    for (size_t i = 0; i < n; ++i, p += sizeof(*out))
+        out[i] = loadLe32(p);
+}
+
+void
 putValue(Writer &w, const driftlog::Value &v)
 {
     w.putU8(static_cast<uint8_t>(v.type()));
@@ -180,6 +240,54 @@ getValue(Reader &r)
     }
     throw NazarError("persist: unknown Value type tag " +
                      std::to_string(static_cast<int>(type)));
+}
+
+void
+putTableImage(Writer &w, const driftlog::Table &table)
+{
+    const size_t columns = table.schema().columnCount();
+    w.putU32(static_cast<uint32_t>(columns));
+    for (size_t c = 0; c < columns; ++c) {
+        const driftlog::Column &col = table.column(c);
+        w.putU8(static_cast<uint8_t>(col.type()));
+        const std::vector<driftlog::Value> &dict = col.dictionary();
+        w.putU64(dict.size());
+        for (const driftlog::Value &v : dict)
+            putValue(w, v);
+        const std::vector<driftlog::Column::Id> &ids = col.ids();
+        w.putU64(ids.size());
+        w.putU32Block(ids.data(), ids.size());
+    }
+}
+
+driftlog::Table
+getTableImage(Reader &r, const driftlog::Schema &schema)
+{
+    uint32_t columns = r.getU32();
+    NAZAR_CHECK(columns == schema.columnCount(),
+                "persist: table image has " + std::to_string(columns) +
+                    " columns, schema has " +
+                    std::to_string(schema.columnCount()));
+    std::vector<driftlog::Column> cols;
+    cols.reserve(columns);
+    for (uint32_t c = 0; c < columns; ++c) {
+        auto type = static_cast<driftlog::ValueType>(r.getU8());
+        uint64_t dict_size = r.getU64();
+        // Every encoded Value takes at least its one-byte type tag.
+        NAZAR_CHECK(dict_size <= r.remaining(),
+                    "persist: table image dictionary exceeds buffer");
+        std::vector<driftlog::Value> dict;
+        for (uint64_t i = 0; i < dict_size; ++i)
+            dict.push_back(getValue(r));
+        uint64_t rows = r.getU64();
+        NAZAR_CHECK(rows <= r.remaining() / sizeof(driftlog::Column::Id),
+                    "persist: table image row count exceeds buffer");
+        std::vector<driftlog::Column::Id> ids(static_cast<size_t>(rows));
+        r.getU32Block(ids.data(), ids.size());
+        cols.push_back(driftlog::Column::fromDictionary(
+            type, std::move(dict), std::move(ids)));
+    }
+    return driftlog::Table::fromColumns(schema, std::move(cols));
 }
 
 void

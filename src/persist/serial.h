@@ -7,10 +7,10 @@
  * doubles (memcpy of the IEEE-754 pattern, so NaN payloads survive a
  * round trip), length-prefixed strings, and composite encoders for
  * the domain types the cloud persists (driftlog::Value,
- * rca::AttributeSet, drift-log entries, uploads). A table-based CRC32
- * (the usual reflected 0xEDB88320 polynomial) guards every WAL record
- * and the snapshot payload; no external compression/CRC library is
- * used.
+ * rca::AttributeSet, drift-log entries, uploads, and the column image
+ * of a drift-log table). A slice-by-8 CRC32 (the usual reflected
+ * 0xEDB88320 polynomial) guards every WAL record, wire frame and
+ * snapshot payload; no external compression/CRC library is used.
  *
  * Readers are bounds-checked: a short or corrupt buffer raises
  * NazarError, which the WAL open path converts into torn-tail
@@ -49,6 +49,8 @@ class Writer
     /** Bit-exact: the IEEE-754 pattern is copied, NaN payloads intact. */
     void putF64(double v);
     void putBytes(const void *data, size_t len);
+    /** @p n u32s as one block (byte-identical to n putU32 calls). */
+    void putU32Block(const uint32_t *v, size_t n);
     /** u64 length prefix + raw bytes. */
     void putString(const std::string &s);
 
@@ -74,6 +76,8 @@ class Reader
     int64_t getI64() { return static_cast<int64_t>(getU64()); }
     double getF64();
     std::string getString();
+    /** Read @p n u32s written by Writer::putU32Block into @p out. */
+    void getU32Block(uint32_t *out, size_t n);
 
     /** Advance past @p n bytes without decoding them (bounds-checked).
      *  Lets decoders step over unknown forward-compat fields. */
@@ -93,6 +97,23 @@ class Reader
 /** Tagged driftlog::Value (null / int / double / bool / string). */
 void putValue(Writer &w, const driftlog::Value &v);
 driftlog::Value getValue(Reader &r);
+
+/**
+ * Column image of a drift-log table: what the table already is in
+ * memory, with no text rendering. Layout:
+ *
+ *     [u32 columnCount]
+ *     per column: [u8 ValueType][u64 dictSize][dictSize x putValue]
+ *                 [u64 rowCount][rowCount x u32 id]
+ *
+ * The dictionary is written sorted (id order == Value total order),
+ * so decoding needs no re-sort; getTableImage validates every
+ * invariant through Table::fromColumns and throws NazarError on a
+ * malformed image (unsorted dictionary, foreign cell type, id out of
+ * range, ragged columns, or a column that disagrees with @p schema).
+ */
+void putTableImage(Writer &w, const driftlog::Table &table);
+driftlog::Table getTableImage(Reader &r, const driftlog::Schema &schema);
 
 void putAttributeSet(Writer &w, const rca::AttributeSet &attrs);
 rca::AttributeSet getAttributeSet(Reader &r);

@@ -12,7 +12,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagic[8] = {'N', 'Z', 'S', 'N', 'A', 'P', '1', 0};
 constexpr char kChainMagic[8] = {'N', 'Z', 'C', 'H', 'N', '1', 0, 0};
 
 /** Closes an Env file on scope exit (fault paths must not leak). */
@@ -103,12 +102,13 @@ std::string
 encodeSnapshot(const SnapshotData &data)
 {
     Writer w;
+    w.putU64(kSnapshotFormatTag);
     w.putU64(data.lastWalSeq);
     w.putI64(data.logicalTime);
     w.putI64(data.nextVersionId);
     w.putU64(data.totalIngested);
     w.putU64(data.dedupHits);
-    w.putString(data.driftLogCsv);
+    putTableImage(w, data.driftLog.table());
     w.putU64(data.uploads.size());
     for (const auto &up : data.uploads)
         putUpload(w, up);
@@ -137,13 +137,25 @@ SnapshotData
 decodeSnapshot(const std::string &payload)
 {
     Reader r(payload);
+    uint64_t tag = r.getU64();
+    if (tag != kSnapshotFormatTag) {
+        char hex[19];
+        std::snprintf(hex, sizeof(hex), "0x%016llx",
+                      static_cast<unsigned long long>(tag));
+        throw NazarError(std::string("persist: snapshot payload format "
+                                     "tag ") +
+                         hex + " is not the column-image tag NZIMG1 "
+                               "(payloads that carry the drift log "
+                               "as CSV are not readable)");
+    }
     SnapshotData data;
     data.lastWalSeq = r.getU64();
     data.logicalTime = r.getI64();
     data.nextVersionId = r.getI64();
     data.totalIngested = r.getU64();
     data.dedupHits = r.getU64();
-    data.driftLogCsv = r.getString();
+    data.driftLog = driftlog::DriftLog::fromTable(
+        getTableImage(r, data.driftLog.table().schema()));
     uint64_t uploads = r.getU64();
     for (uint64_t i = 0; i < uploads; ++i)
         data.uploads.push_back(getUpload(r));
@@ -172,44 +184,6 @@ decodeSnapshot(const std::string &payload)
     }
     NAZAR_CHECK(r.atEnd(), "persist: trailing bytes in snapshot payload");
     return data;
-}
-
-void
-writeSnapshotFile(const fs::path &tmp, const fs::path &final,
-                  const SnapshotData &data, CrashInjector &injector,
-                  Env &env)
-{
-    std::string payload = encodeSnapshot(data);
-
-    Writer w;
-    w.putBytes(kMagic, sizeof(kMagic));
-    w.putU64(payload.size());
-    w.putU32(crc32(payload.data(), payload.size()));
-    w.putBytes(payload.data(), payload.size());
-    writeFileAtomic(tmp, final, w.bytes(), injector, env);
-}
-
-std::optional<SnapshotData>
-loadSnapshotFile(const fs::path &path)
-{
-    std::string bytes = slurpFile(path);
-
-    if (bytes.size() < sizeof(kMagic) + 12 ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-        return std::nullopt;
-    Reader head(bytes.data() + sizeof(kMagic), 12);
-    uint64_t len = head.getU64();
-    uint32_t crc = head.getU32();
-    size_t payload_at = sizeof(kMagic) + 12;
-    if (bytes.size() - payload_at != len)
-        return std::nullopt; // torn or trailing garbage
-    if (crc32(bytes.data() + payload_at, static_cast<size_t>(len)) != crc)
-        return std::nullopt;
-    try {
-        return decodeSnapshot(bytes.substr(payload_at));
-    } catch (const NazarError &) {
-        return std::nullopt; // checksum passed but payload malformed
-    }
 }
 
 std::string

@@ -2,25 +2,20 @@
  * @file
  * Checksummed cloud-state snapshots with atomic rename-on-commit.
  *
- * A snapshot is the full cloud state at a safe point — drift-log table
- * (via the CSV codec), upload buffer, per-device dedup windows, the
- * registry's blob store, counters, and the last published clean patch
- * — plus `lastWalSeq`, the highest WAL sequence number the snapshot
- * already includes. Recovery loads the snapshot (if valid) and replays
- * only WAL records with seq > lastWalSeq, so a crash between the
- * snapshot rename and the WAL truncation cannot double-apply.
+ * A full snapshot is the whole cloud state at a safe point — drift-log
+ * table (as a column image, see putTableImage), upload buffer,
+ * per-device dedup windows, the registry's blob store, counters, and
+ * the last published clean patch — plus `lastWalSeq`, the highest WAL
+ * sequence number the snapshot already includes. Recovery loads the
+ * snapshot chain (below) and replays only WAL records with
+ * seq > lastWalSeq, so a crash between the snapshot rename and the WAL
+ * truncation cannot double-apply.
  *
- * On-disk layout:
- *
- *     [8-byte magic "NZSNAP1\0"][u64 payloadLen][u32 crc32(payload)]
- *     [payload]
- *
- * Writes go to `snapshot.tmp` first and are renamed over
- * `snapshot.bin` only when complete (crash sites
+ * Every chain file is written to "<name>.tmp" first and renamed onto
+ * its final name only when complete (crash sites
  * "snapshot.tmp.partial", "snapshot.tmp.done", "snapshot.rename.post"
- * cover the three distinct failure windows). A corrupt or torn
- * snapshot file is treated as absent: recovery falls back to replaying
- * the full WAL.
+ * cover the three distinct failure windows). A corrupt or torn chain
+ * file is treated as absent.
  */
 #ifndef NAZAR_PERSIST_SNAPSHOT_H
 #define NAZAR_PERSIST_SNAPSHOT_H
@@ -70,7 +65,7 @@ struct SnapshotData
     int64_t nextVersionId = 1;
     uint64_t totalIngested = 0;
     uint64_t dedupHits = 0;
-    std::string driftLogCsv; ///< Pending drift-log table, CSV-encoded.
+    driftlog::DriftLog driftLog; ///< Pending drift-log rows.
     std::vector<UploadRecord> uploads;
     std::map<int64_t, DedupWindow> dedup;
     /** Registry blob store, key -> bytes, sorted by key. */
@@ -79,31 +74,24 @@ struct SnapshotData
     int64_t cleanPatchTime = 0; ///< logicalTime that produced it.
 };
 
-/** Encode the payload bytes (no header/CRC — the file writer adds it). */
+/**
+ * Encode the payload bytes (no header/CRC — the file writer adds it).
+ * The payload opens with the 8-byte format tag kSnapshotFormatTag
+ * ("NZIMG1\0\0"), then the counters, the drift log's column image,
+ * and the rest of the state in SnapshotData order.
+ */
 std::string encodeSnapshot(const SnapshotData &data);
 
-/** Decode a payload; throws NazarError on malformed bytes. */
+/**
+ * Decode a payload; throws NazarError on malformed bytes, including a
+ * payload without the column-image format tag (the earlier layout,
+ * which carried the drift log as CSV text, is not read).
+ */
 SnapshotData decodeSnapshot(const std::string &payload);
 
-/**
- * Write @p data to @p tmp, then atomically rename onto @p final,
- * fsyncing the tmp file before the rename and the directory after it
- * (a snapshot committed by rename alone can be empty after power
- * loss). Fires the three snapshot crash sites along the way; all I/O
- * goes through @p env ("env.snap.*" sites).
- */
-void writeSnapshotFile(const std::filesystem::path &tmp,
-                       const std::filesystem::path &final,
-                       const SnapshotData &data, CrashInjector &injector,
-                       Env &env);
-
-/**
- * Load a snapshot file. Returns nullopt when the file is absent,
- * torn, or fails its checksum — the caller then recovers from the WAL
- * alone.
- */
-std::optional<SnapshotData>
-loadSnapshotFile(const std::filesystem::path &path);
+/** Format tag opening every full-snapshot payload: the little-endian
+ *  u64 whose bytes spell "NZIMG1\0\0". */
+inline constexpr uint64_t kSnapshotFormatTag = 0x000031474D495A4EULL;
 
 // ---- incremental snapshot chain ------------------------------------
 //
@@ -157,8 +145,10 @@ std::optional<std::pair<uint64_t, ChainKind>>
 parseChainFileName(const std::string &name);
 
 /**
- * Write one chain element into @p dir (tmp + fsync + rename + dir
- * fsync, like writeSnapshotFile). @p header.payloadCrc is computed
+ * Write one chain element into @p dir: tmp file, fsync, rename,
+ * directory fsync (a file committed by rename alone can be empty
+ * after power loss). All I/O goes through @p env ("env.snap.*"
+ * sites). @p header.payloadCrc is computed
  * here and the final value returned, so the caller can link the next
  * delta to it.
  */

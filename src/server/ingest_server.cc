@@ -508,13 +508,7 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
             m.device = static_cast<int>(item.ingest.device);
             m.seq = item.ingest.seq;
             m.entry = item.ingest.entry;
-            if (item.ingest.upload.has_value()) {
-                sim::Upload up;
-                up.features = std::move(item.ingest.upload->features);
-                up.context = std::move(item.ingest.upload->context);
-                up.driftFlag = item.ingest.upload->driftFlag;
-                m.upload = std::move(up);
-            }
+            m.upload = std::move(item.ingest.upload);
             msgs.push_back(std::move(m));
         }
         auto tEncoded = std::chrono::steady_clock::now();
@@ -530,18 +524,10 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         // whole loop is attributed to the commit stage (no separate
         // encode stage in this configuration).
         for (auto &item : batch) {
-            std::optional<sim::Upload> up;
-            if (item.ingest.upload.has_value()) {
-                sim::Upload u;
-                u.features = std::move(item.ingest.upload->features);
-                u.context = std::move(item.ingest.upload->context);
-                u.driftFlag = item.ingest.upload->driftFlag;
-                up = std::move(u);
-            }
             auto t0 = std::chrono::steady_clock::now();
             accepted.push_back(cloud_.ingestFrom(
                 static_cast<int>(item.ingest.device), item.ingest.seq,
-                item.ingest.entry, std::move(up)));
+                item.ingest.entry, std::move(item.ingest.upload)));
             obs::recordSpan(walSyncSite, t0,
                             std::chrono::steady_clock::now(),
                             ingestContext(item.ingest));

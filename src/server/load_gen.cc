@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -65,16 +66,27 @@ struct ClientOutcome
     std::string error;
 };
 
+std::unique_ptr<net::IngestClient>
+connectClient(const LoadConfig &config, int index)
+{
+    net::FaultConfig chaos = config.chaos;
+    chaos.seed = config.chaos.seed + static_cast<uint64_t>(index);
+    try {
+        return std::make_unique<net::IngestClient>(
+            config.port, chaos, "load-" + std::to_string(index),
+            config.reconnect);
+    } catch (const NazarError &e) {
+        throw NazarError("load gen client failed: " +
+                         std::string(e.what()));
+    }
+}
+
 void
-driveClient(const LoadConfig &config, int index, ClientOutcome &out)
+driveClient(const LoadConfig &config, int index,
+            net::IngestClient &client, ClientOutcome &out)
 {
     obs::setThreadName("load.client." + std::to_string(index));
     try {
-        net::FaultConfig chaos = config.chaos;
-        chaos.seed = config.chaos.seed + static_cast<uint64_t>(index);
-        net::IngestClient client(config.port, chaos,
-                                 "load-" + std::to_string(index),
-                                 config.reconnect);
         std::unordered_map<uint64_t, Clock::time_point> inFlight;
         client.setAckObserver([&](const net::WireAck &ack) {
             auto it = inFlight.find(ack.seq);
@@ -85,6 +97,9 @@ driveClient(const LoadConfig &config, int index, ClientOutcome &out)
                     Clock::now() - it->second)
                     .count());
             inFlight.erase(it);
+            if (config.ackedEvents != nullptr)
+                config.ackedEvents->fetch_add(1,
+                                              std::memory_order_relaxed);
         });
         for (int e = 0; e < config.eventsPerClient; ++e) {
             net::WireIngest m = syntheticEvent(config, index, e);
@@ -115,11 +130,22 @@ runLoad(const LoadConfig &config)
     NAZAR_CHECK(config.clients >= 1, "load gen: need >= 1 client");
     std::vector<ClientOutcome> outcomes(config.clients);
     auto t0 = Clock::now();
+    // Every client holds an established session before any client
+    // sends: the first send can reach the server's committer (and an
+    // armed crash injector) only after all handshakes completed, so a
+    // server crash always lands inside every client's session and
+    // each one resumes through it rather than meeting the restarted
+    // server with a first connect.
+    std::vector<std::unique_ptr<net::IngestClient>> clients;
+    clients.reserve(config.clients);
+    for (int c = 0; c < config.clients; ++c)
+        clients.push_back(connectClient(config, c));
     std::vector<std::thread> threads;
     threads.reserve(config.clients);
     for (int c = 0; c < config.clients; ++c)
-        threads.emplace_back(
-            [&config, &outcomes, c] { driveClient(config, c, outcomes[c]); });
+        threads.emplace_back([&config, &clients, &outcomes, c] {
+            driveClient(config, c, *clients[c], outcomes[c]);
+        });
     for (auto &t : threads)
         t.join();
     auto t1 = Clock::now();

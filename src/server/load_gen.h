@@ -16,6 +16,7 @@
 #ifndef NAZAR_SERVER_LOAD_GEN_H
 #define NAZAR_SERVER_LOAD_GEN_H
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,6 +45,11 @@ struct LoadConfig
      * and the reconciliation invariant must still hold at the end.
      */
     net::ReconnectPolicy reconnect;
+    /**
+     * When set, incremented once per event at its first ack, so a
+     * caller can watch the load's progress from another thread.
+     */
+    std::atomic<uint64_t> *ackedEvents = nullptr;
 };
 
 /**

@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/logging.h"
-#include "driftlog/csv.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "runtime/thread_pool.h"
@@ -33,11 +32,7 @@ void
 Cloud::adoptRecovered(persist::RecoveredState &st)
 {
     driftLog_ = std::move(st.log);
-    uploads_.clear();
-    uploads_.reserve(st.uploads.size());
-    for (auto &up : st.uploads)
-        uploads_.push_back(Upload{std::move(up.features),
-                                  std::move(up.context), up.driftFlag});
+    uploads_ = std::move(st.uploads);
     dedup_.clear();
     for (auto &[device, window] : st.dedup) {
         DedupState state;
@@ -510,18 +505,28 @@ Cloud::writeSnapshotLocked()
         persist_->writeDeltaSnapshot();
         return;
     }
+    NAZAR_SPAN("persist.snapshot");
     persist::SnapshotData data;
     data.logicalTime = logicalTime_;
     data.nextVersionId = nextVersionId_;
     data.totalIngested = totalIngested_;
     data.dedupHits = dedupHits_;
-    std::ostringstream csv;
-    driftlog::writeCsv(driftLog_.table(), csv);
-    data.driftLogCsv = csv.str();
-    data.uploads.reserve(uploads_.size());
-    for (const auto &up : uploads_)
-        data.uploads.push_back(
-            persist::UploadRecord{up.features, up.context, up.driftFlag});
+    // Lend the pending rows and uploads to the snapshot instead of
+    // copying them; they come back on every exit, the injected crash
+    // and disk-fault throws included.
+    data.driftLog = std::move(driftLog_);
+    data.uploads = std::move(uploads_);
+    struct GiveBack
+    {
+        Cloud &cloud;
+        persist::SnapshotData &data;
+
+        ~GiveBack()
+        {
+            cloud.driftLog_ = std::move(data.driftLog);
+            cloud.uploads_ = std::move(data.uploads);
+        }
+    } give_back{*this, data};
     for (const auto &[device, state] : dedup_) {
         persist::DedupWindow window;
         window.floor = state.floor;
@@ -532,7 +537,7 @@ Cloud::writeSnapshotLocked()
         data.blobs.emplace_back(key, blobStore_.get(key));
     data.cleanPatchText = lastCleanPatchText_;
     data.cleanPatchTime = lastCleanPatchTime_;
-    persist_->writeSnapshot(std::move(data));
+    persist_->writeSnapshot(data);
 }
 
 } // namespace nazar::sim

@@ -25,13 +25,13 @@
 
 namespace nazar::sim {
 
-/** A sampled raw-input upload accompanying a drift-log entry. */
-struct Upload
-{
-    std::vector<double> features;
-    rca::AttributeSet context; ///< Device context at inference time.
-    bool driftFlag = false;    ///< The on-device detector's verdict.
-};
+/**
+ * A sampled raw-input upload accompanying a drift-log entry: features,
+ * the device context at inference time, and the on-device detector's
+ * verdict. The same type the WAL, snapshots and wire carry, so the
+ * buffer moves between them without conversion.
+ */
+using Upload = persist::UploadRecord;
 
 /** One sequenced ingest attempt, as batched by the ingest server. */
 struct IngestMessage

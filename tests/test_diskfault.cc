@@ -743,6 +743,196 @@ TEST_F(DiskFaultCloudTest, RegistryGcSurvivesRecovery)
     EXPECT_TRUE(report.ok);
 }
 
+// ---- malformed column images ----------------------------------------
+
+/** One column of a hand-built table image. */
+struct ColumnImage
+{
+    driftlog::ValueType type;
+    std::vector<driftlog::Value> dict;
+    std::vector<uint32_t> ids;
+};
+
+std::vector<ColumnImage>
+columnImages(const driftlog::Table &t)
+{
+    std::vector<ColumnImage> cols;
+    for (size_t c = 0; c < t.schema().columnCount(); ++c)
+        cols.push_back({t.column(c).type(), t.column(c).dictionary(),
+                        t.column(c).ids()});
+    return cols;
+}
+
+/**
+ * A full-snapshot payload around a hand-built column image, written
+ * field by field from the documented layout (an independent encoder:
+ * for well-formed columns it must equal encodeSnapshot's bytes).
+ */
+std::string
+payloadWithImage(const std::vector<ColumnImage> &cols)
+{
+    Writer w;
+    w.putU64(kSnapshotFormatTag);
+    w.putU64(7);  // lastWalSeq
+    w.putI64(0);  // logicalTime
+    w.putI64(1);  // nextVersionId
+    w.putU64(cols[0].ids.size()); // totalIngested
+    w.putU64(0);  // dedupHits
+    w.putU32(static_cast<uint32_t>(cols.size()));
+    for (const ColumnImage &col : cols) {
+        w.putU8(static_cast<uint8_t>(col.type));
+        w.putU64(col.dict.size());
+        for (const driftlog::Value &v : col.dict)
+            putValue(w, v);
+        w.putU64(col.ids.size());
+        for (uint32_t id : col.ids)
+            w.putU32(id);
+    }
+    w.putU64(0);      // uploads
+    w.putU64(0);      // dedup windows
+    w.putU64(0);      // blobs
+    w.putBool(false); // no clean patch
+    return w.take();
+}
+
+/** The earlier full-snapshot layout: no format tag, drift log as CSV. */
+std::string
+legacyCsvPayload(const driftlog::Table &t)
+{
+    Writer w;
+    w.putU64(7);
+    w.putI64(0);
+    w.putI64(1);
+    w.putU64(t.rowCount());
+    w.putU64(0);
+    std::ostringstream csv;
+    driftlog::writeCsv(t, csv);
+    w.putString(csv.str());
+    w.putU64(0);
+    w.putU64(0);
+    w.putU64(0);
+    w.putBool(false);
+    return w.take();
+}
+
+driftlog::DriftLog
+imageScriptLog()
+{
+    driftlog::DriftLog log;
+    for (int i = 0; i < 40; ++i)
+        log.add(scriptEntry(i));
+    return log;
+}
+
+struct MalformedImage
+{
+    std::string label;
+    std::string payload;
+    std::string why; ///< Substring the NazarError message must carry.
+};
+
+/** One payload per way a column image can be malformed. */
+std::vector<MalformedImage>
+malformedImages()
+{
+    using driftlog::Value;
+    const driftlog::DriftLog log = imageScriptLog();
+    const std::vector<ColumnImage> good = columnImages(log.table());
+    const size_t weather =
+        log.table().schema().indexOf(driftlog::columns::kWeather);
+    const size_t device =
+        log.table().schema().indexOf(driftlog::columns::kDeviceId);
+    const size_t location =
+        log.table().schema().indexOf(driftlog::columns::kLocation);
+    const size_t drift =
+        log.table().schema().indexOf(driftlog::columns::kDrift);
+    std::vector<MalformedImage> out;
+
+    std::vector<ColumnImage> cols = good;
+    std::swap(cols[weather].dict[0], cols[weather].dict[1]);
+    out.push_back({"unsorted dictionary", payloadWithImage(cols),
+                   "not strictly ascending"});
+
+    cols = good;
+    cols[device].ids[5] = static_cast<uint32_t>(cols[device].dict.size());
+    out.push_back({"id >= dictSize", payloadWithImage(cols),
+                   "out of range"});
+
+    cols = good;
+    cols[location].ids.pop_back();
+    out.push_back({"length mismatch", payloadWithImage(cols), "rows"});
+
+    cols = good;
+    cols[drift].dict = {Value(static_cast<int64_t>(0)),
+                        Value(static_cast<int64_t>(1))};
+    out.push_back({"wrong cell type", payloadWithImage(cols),
+                   "dictionary entry of type int in a bool column"});
+
+    cols = good;
+    cols[location].dict.push_back(Value("zz-never-referenced"));
+    out.push_back({"unreferenced dictionary entry", payloadWithImage(cols),
+                   "referenced by no row"});
+
+    out.push_back({"old CSV payload", legacyCsvPayload(log.table()),
+                   "format tag"});
+    return out;
+}
+
+TEST_F(DiskFaultCloudTest, HandBuiltImageMatchesEncodeSnapshotBytes)
+{
+    SnapshotData data;
+    data.lastWalSeq = 7;
+    data.totalIngested = 40;
+    data.driftLog = imageScriptLog();
+    EXPECT_EQ(payloadWithImage(columnImages(data.driftLog.table())),
+              encodeSnapshot(data));
+}
+
+TEST_F(DiskFaultCloudTest, MalformedColumnImagesAreRejected)
+{
+    // Each payload passes its chain CRC, so only the image decoder's
+    // own validation stands between it and the recovered state.
+    for (const MalformedImage &bad : malformedImages()) {
+        SCOPED_TRACE(bad.label);
+        try {
+            decodeSnapshot(bad.payload);
+            ADD_FAILURE() << "decoded a malformed image";
+        } catch (const NazarError &e) {
+            EXPECT_NE(std::string(e.what()).find(bad.why),
+                      std::string::npos)
+                << e.what();
+        }
+        TempDir dir("malformed");
+        CrashInjector injector;
+        Env env;
+        ChainHeader header;
+        header.id = 1;
+        header.lastWalSeq = 7;
+        writeChainFile(dir.path, header, bad.payload, injector, env);
+        ASSERT_TRUE(
+            loadChainFile(dir.path / chainFileName(1, ChainKind::kFull))
+                .has_value());
+        EXPECT_THROW(recoverDir(dir.path, 8), NazarError);
+        ScrubReport report = scrubStateDir(dir.path);
+        EXPECT_FALSE(report.ok);
+        sim::CloudConfig config;
+        config.persist.dir = dir.path.string();
+        EXPECT_THROW({ sim::Cloud cloud(config, scriptBase()); },
+                     NazarError);
+    }
+    // The format tag is named in the old payload's rejection.
+    try {
+        decodeSnapshot(legacyCsvPayload(imageScriptLog().table()));
+        ADD_FAILURE() << "decoded a CSV-era payload";
+    } catch (const NazarError &e) {
+        EXPECT_NE(std::string(e.what()).find("0x0000000000000007"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("NZIMG1"), std::string::npos)
+            << e.what();
+    }
+}
+
 // ---- decoder fuzz ---------------------------------------------------
 
 TEST_F(DiskFaultCloudTest, DecodersSurviveBitFlipsAndTruncations)
@@ -766,7 +956,38 @@ TEST_F(DiskFaultCloudTest, DecodersSurviveBitFlipsAndTruncations)
 
     TempDir mutdir("fuzz_mut");
     Rng rng(20250807);
+    // Malformed column images ride along on their own stream, so the
+    // healthy files' mutations above stay what they always were.
+    const std::vector<MalformedImage> malformed = malformedImages();
+    TempDir imgdir("fuzz_img");
+    Rng imgRng(20261017);
     for (int iter = 0; iter < 200; ++iter) {
+        {
+            std::string bytes = malformed[iter % malformed.size()].payload;
+            if (imgRng.bernoulli(0.5)) {
+                bytes.resize(imgRng.index(bytes.size()));
+            } else {
+                int flips = 1 + static_cast<int>(imgRng.index(4));
+                for (int b = 0; b < flips; ++b)
+                    bytes[imgRng.index(bytes.size())] ^=
+                        static_cast<char>(1u << imgRng.index(8));
+            }
+            try {
+                decodeSnapshot(bytes);
+            } catch (const NazarError &) {
+            }
+            // Framed with a valid CRC, so recovery decodes it.
+            CrashInjector injector;
+            Env env;
+            ChainHeader header;
+            header.id = 1;
+            writeChainFile(imgdir.path, header, bytes, injector, env);
+            try {
+                (void)recoverDir(imgdir.path, /*dedup_window=*/8);
+            } catch (const NazarError &) {
+            }
+            (void)scrubStateDir(imgdir.path);
+        }
         const fs::path &src = targets[rng.index(targets.size())];
         std::string bytes = readFile(src);
         ASSERT_FALSE(bytes.empty());
@@ -796,10 +1017,6 @@ TEST_F(DiskFaultCloudTest, DecodersSurviveBitFlipsAndTruncations)
                 else
                     decodeDeltaRecords(chain->payload);
             }
-        } catch (const NazarError &) {
-        }
-        try {
-            (void)loadSnapshotFile(mutated);
         } catch (const NazarError &) {
         }
         // And the full recovery pipeline over a dir containing the

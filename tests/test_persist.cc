@@ -8,16 +8,20 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <sstream>
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "data/apps.h"
 #include "driftlog/csv.h"
 #include "persist/cloud_persist.h"
@@ -64,6 +68,89 @@ TEST(Serial, Crc32KnownVector)
     uint32_t inc = crc32Update(0, "1234", 4);
     inc = crc32Update(inc, "56789", 5);
     EXPECT_EQ(inc, 0xCBF43926u);
+}
+
+/**
+ * Bytewise reference CRC32 (reflected 0xEDB88320, one table lookup per
+ * byte): the loop the library ran before slice-by-8, kept here as the
+ * oracle the sliced version must match bit for bit.
+ */
+uint32_t
+crc32Bytewise(const void *data, size_t len)
+{
+    static const std::array<uint32_t, 256> table = [] {
+        std::array<uint32_t, 256> t{};
+        for (uint32_t i = 0; i < 256; ++i) {
+            uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    const auto *p = static_cast<const unsigned char *>(data);
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < len; ++i)
+        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Serial, Crc32SlicedMatchesBytewiseReference)
+{
+    EXPECT_EQ(crc32Bytewise("123456789", 9), 0xCBF43926u);
+    Rng rng(4242);
+    std::vector<unsigned char> buf(300 + 8);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng.index(256));
+    // Every length 0..300 from every offset mod 8, so the sliced loop
+    // meets each head/tail split and each load alignment; plus a
+    // chunked feed through crc32Update at an arbitrary cut.
+    for (size_t align = 0; align < 8; ++align) {
+        for (size_t len = 0; len <= 300; ++len) {
+            const unsigned char *p = buf.data() + align;
+            uint32_t want = crc32Bytewise(p, len);
+            ASSERT_EQ(crc32(p, len), want)
+                << "align " << align << " len " << len;
+            size_t cut = (len * 5) / 7;
+            ASSERT_EQ(crc32Update(crc32(p, cut), p + cut, len - cut), want)
+                << "align " << align << " len " << len << " cut " << cut;
+        }
+    }
+    // Random buffers of random sizes, well past one 8-byte slice.
+    for (int i = 0; i < 200; ++i) {
+        std::string bytes(rng.index(5000), '\0');
+        for (char &c : bytes)
+            c = static_cast<char>(rng.index(256));
+        ASSERT_EQ(crc32(bytes.data(), bytes.size()),
+                  crc32Bytewise(bytes.data(), bytes.size()));
+    }
+}
+
+TEST(Serial, WordWritersEmitLittleEndianBytes)
+{
+    // Whole-word appends must produce the byte-at-a-time encoding.
+    Writer w;
+    w.putU32(0xDEADBEEFu);
+    w.putU64(0x0123456789ABCDEFull);
+    w.putF64(-2.0); // 0xC000000000000000
+    const uint32_t block[] = {1u, 0x80000000u, 0xA1B2C3D4u};
+    w.putU32Block(block, 3);
+    const std::string want(
+        "\xEF\xBE\xAD\xDE"
+        "\xEF\xCD\xAB\x89\x67\x45\x23\x01"
+        "\x00\x00\x00\x00\x00\x00\x00\xC0"
+        "\x01\x00\x00\x00\x00\x00\x00\x80\xD4\xC3\xB2\xA1",
+        32);
+    EXPECT_EQ(w.bytes(), want);
+    Reader r(w.bytes());
+    r.skip(20);
+    uint32_t back[3];
+    r.getU32Block(back, 3);
+    EXPECT_TRUE(std::equal(back, back + 3, block));
+    EXPECT_TRUE(r.atEnd());
+    Reader shortRead(w.bytes());
+    shortRead.skip(24);
+    EXPECT_THROW(shortRead.getU32Block(back, 3), NazarError);
 }
 
 TEST(Serial, ScalarRoundTrip)
@@ -375,7 +462,6 @@ sampleSnapshot()
     data.nextVersionId = 9;
     data.totalIngested = 123;
     data.dedupHits = 4;
-    driftlog::DriftLog log;
     driftlog::DriftLogEntry e;
     e.time = SimDate(2, 777);
     e.deviceId = "android_1";
@@ -383,10 +469,11 @@ sampleSnapshot()
     e.location = "tibet";
     e.weather = "snow";
     e.drift = true;
-    log.add(e);
-    std::ostringstream csv;
-    driftlog::writeCsv(log.table(), csv);
-    data.driftLogCsv = csv.str();
+    data.driftLog.add(e);
+    e.time = SimDate(1, 5);
+    e.weather = "fog";
+    e.drift = false;
+    data.driftLog.add(e); // out-of-order dictionary values
     UploadRecord u;
     u.features = {0.5, -1.0};
     u.context = rca::AttributeSet(
@@ -401,6 +488,22 @@ sampleSnapshot()
     return data;
 }
 
+/** Same dictionaries, id vectors and null counts, column by column. */
+void
+expectTableImageEq(const driftlog::Table &a, const driftlog::Table &b)
+{
+    ASSERT_EQ(a.schema().columnCount(), b.schema().columnCount());
+    EXPECT_EQ(a.rowCount(), b.rowCount());
+    for (size_t c = 0; c < a.schema().columnCount(); ++c) {
+        SCOPED_TRACE("column " + a.schema().column(c).name);
+        EXPECT_EQ(a.schema().column(c).name, b.schema().column(c).name);
+        EXPECT_EQ(a.column(c).type(), b.column(c).type());
+        EXPECT_EQ(a.column(c).dictionary(), b.column(c).dictionary());
+        EXPECT_EQ(a.column(c).ids(), b.column(c).ids());
+        EXPECT_EQ(a.column(c).nullCount(), b.column(c).nullCount());
+    }
+}
+
 void
 expectSnapshotEq(const SnapshotData &a, const SnapshotData &b)
 {
@@ -409,7 +512,7 @@ expectSnapshotEq(const SnapshotData &a, const SnapshotData &b)
     EXPECT_EQ(a.nextVersionId, b.nextVersionId);
     EXPECT_EQ(a.totalIngested, b.totalIngested);
     EXPECT_EQ(a.dedupHits, b.dedupHits);
-    EXPECT_EQ(a.driftLogCsv, b.driftLogCsv);
+    expectTableImageEq(a.driftLog.table(), b.driftLog.table());
     ASSERT_EQ(a.uploads.size(), b.uploads.size());
     for (size_t i = 0; i < a.uploads.size(); ++i) {
         EXPECT_EQ(a.uploads[i].features, b.uploads[i].features);
@@ -432,16 +535,19 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip)
 TEST(SnapshotTest, FileRoundTripAndCorruptionFallback)
 {
     TempDir dir("snap");
-    fs::path tmp = dir.path / "snapshot.tmp";
-    fs::path final = dir.path / "snapshot.bin";
     CrashInjector injector;
     Env env;
     SnapshotData data = sampleSnapshot();
-    writeSnapshotFile(tmp, final, data, injector, env);
-    EXPECT_FALSE(fs::exists(tmp)); // renamed over the final name
-    auto loaded = loadSnapshotFile(final);
+    ChainHeader header;
+    header.kind = ChainKind::kFull;
+    header.id = 1;
+    header.lastWalSeq = data.lastWalSeq;
+    writeChainFile(dir.path, header, encodeSnapshot(data), injector, env);
+    fs::path final = dir.path / chainFileName(1, ChainKind::kFull);
+    EXPECT_FALSE(fs::exists(final.string() + ".tmp")); // renamed
+    auto loaded = loadChainFile(final);
     ASSERT_TRUE(loaded.has_value());
-    expectSnapshotEq(data, *loaded);
+    expectSnapshotEq(data, decodeSnapshot(loaded->payload));
 
     // A flipped payload byte fails the checksum: treated as absent.
     uintmax_t size = fs::file_size(final);
@@ -451,8 +557,8 @@ TEST(SnapshotTest, FileRoundTripAndCorruptionFallback)
         f.seekp(static_cast<std::streamoff>(size) - 1);
         f.put('X');
     }
-    EXPECT_FALSE(loadSnapshotFile(final).has_value());
-    EXPECT_FALSE(loadSnapshotFile(dir.path / "nope.bin").has_value());
+    EXPECT_FALSE(loadChainFile(final).has_value());
+    EXPECT_FALSE(loadChainFile(dir.path / "nope.full").has_value());
 }
 
 TEST(SnapshotTest, DecodeRejectsTruncatedPayload)
@@ -460,6 +566,96 @@ TEST(SnapshotTest, DecodeRejectsTruncatedPayload)
     std::string payload = encodeSnapshot(sampleSnapshot());
     payload.resize(payload.size() / 2);
     EXPECT_THROW(decodeSnapshot(payload), NazarError);
+}
+
+// ---- column image vs the CSV oracle ---------------------------------
+
+/** Cell-for-cell equality; Value == is bitwise for doubles, so -0.0,
+ *  NaN signs and widened ints must come back exactly. */
+void
+expectCellsEq(const driftlog::Table &a, const driftlog::Table &b)
+{
+    ASSERT_EQ(a.rowCount(), b.rowCount());
+    ASSERT_EQ(a.schema().columnCount(), b.schema().columnCount());
+    for (size_t r = 0; r < a.rowCount(); ++r)
+        for (size_t c = 0; c < a.schema().columnCount(); ++c)
+            ASSERT_EQ(a.at(r, c), b.at(r, c))
+                << "row " << r << " column " << c;
+}
+
+driftlog::Table
+imageRoundTrip(const driftlog::Table &t)
+{
+    Writer w;
+    putTableImage(w, t);
+    Reader r(w.bytes());
+    driftlog::Table back = getTableImage(r, t.schema());
+    EXPECT_TRUE(r.atEnd());
+    return back;
+}
+
+driftlog::Table
+csvRoundTrip(const driftlog::Table &t)
+{
+    std::stringstream csv;
+    driftlog::writeCsv(t, csv);
+    return driftlog::readCsv(t.schema(), csv);
+}
+
+TEST(SnapshotImage, TableImageMatchesCsvRoundTripOnRandomTables)
+{
+    using driftlog::Value;
+    using driftlog::ValueType;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<Value> doubles = {
+        Value(nan), Value(-nan), Value(inf), Value(-inf), Value(0.0),
+        Value(-0.0), Value(1.5), Value(-2.25),
+        Value(std::numeric_limits<double>::denorm_min()),
+        Value(static_cast<int64_t>(3)), // widened to 3.0 on append
+        Value(static_cast<int64_t>(-7)), Value()};
+    const std::vector<Value> strings = {
+        Value(std::string()), Value("snow"), Value("a,b"),
+        Value("say \"hi\""), Value("fog"), Value()};
+    driftlog::Schema schema({{"i", ValueType::kInt},
+                             {"d", ValueType::kDouble},
+                             {"b", ValueType::kBool},
+                             {"s", ValueType::kString},
+                             {"desc", ValueType::kInt}});
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        driftlog::Table t(schema);
+        size_t rows = seed == 1 ? 0 : rng.index(300);
+        for (size_t r = 0; r < rows; ++r) {
+            driftlog::Row row(schema.columnCount());
+            if (!rng.bernoulli(0.1))
+                row[0] = static_cast<int64_t>(rng.uniformInt(-50, 50));
+            row[1] = doubles[rng.index(doubles.size())];
+            if (!rng.bernoulli(0.1))
+                row[2] = rng.bernoulli(0.5);
+            row[3] = strings[rng.index(strings.size())];
+            // Strictly descending: every append after the first lands
+            // below the dictionary's top, so this column's dictionary
+            // is unsorted (awaiting normalization) when encoded.
+            row[4] = static_cast<int64_t>(rows - r);
+            t.append(row);
+        }
+        driftlog::Table viaImage = imageRoundTrip(t);
+        driftlog::Table viaCsv = csvRoundTrip(t);
+        expectCellsEq(viaImage, viaCsv);
+        expectTableImageEq(viaImage, viaCsv);
+        expectCellsEq(viaImage, t);
+        expectTableImageEq(viaImage, t);
+        // The rebuilt columns behave like appended ones: a later
+        // append (here a new minimum) renormalizes identically.
+        driftlog::Row extra = {Value(static_cast<int64_t>(-99)),
+                               Value(-inf), Value(false), Value("aaa"),
+                               Value(static_cast<int64_t>(0))};
+        viaImage.append(extra);
+        viaCsv.append(extra);
+        expectTableImageEq(viaImage, viaCsv);
+    }
 }
 
 // ---- crash injector -------------------------------------------------
@@ -807,6 +1003,40 @@ TEST_F(PersistCloudTest, ExhaustiveCrashSweepMatchesOracle)
     EXPECT_EQ(fired_sites, expected);
 }
 
+TEST_F(PersistCloudTest, RecoveredImageStateMatchesCsvOracle)
+{
+    // Recovery from a column-image full snapshot must adopt exactly
+    // the table the CSV snapshot path produced: readCsv(writeCsv(live)).
+    TempDir dir("image_oracle");
+    sim::CloudConfig config = scriptConfig(dir.path.string(), 0);
+    config.persist.snapshotEvery = 0; // only the explicit checkpoint
+    config.persist.fullEvery = 1;
+    driftlog::Table oracle(driftlog::DriftLog().table().schema());
+    size_t uploads = 0;
+    {
+        sim::Cloud cloud(config, scriptBase());
+        for (int i = 0; i < 90; ++i) {
+            if (i % 5 == 0)
+                cloud.ingest(scriptEntry(i), scriptUpload(i));
+            else
+                cloud.ingestFrom(i % 3, static_cast<uint64_t>(i),
+                                 scriptEntry(i), scriptUpload(i));
+        }
+        cloud.checkpoint();
+        oracle = csvRoundTrip(cloud.driftLog().table());
+        uploads = cloud.uploadCount();
+    }
+    RecoveredState st = recoverDir(dir.path, /*dedup_window=*/8);
+    EXPECT_TRUE(st.snapshotLoaded);
+    EXPECT_EQ(st.replayedRecords, 0u); // all of it came from the image
+    expectCellsEq(st.log.table(), oracle);
+    expectTableImageEq(st.log.table(), oracle);
+    EXPECT_EQ(st.uploads.size(), uploads);
+
+    sim::Cloud reopened(config, scriptBase());
+    expectTableImageEq(reopened.driftLog().table(), oracle);
+}
+
 TEST_F(PersistCloudTest, RecoverDirMatchesLiveState)
 {
     TempDir dir("recover_dir");
@@ -827,6 +1057,70 @@ TEST_F(PersistCloudTest, RecoverDirMatchesLiveState)
     EXPECT_EQ(st.dedup, live.dedup);
     RecoveredState again = recoverDir(dir.path, 8);
     EXPECT_EQ(again.totalIngested, st.totalIngested);
+}
+
+/**
+ * The bytes the pre-chain layout left in snapshot.bin: the
+ * "NZSNAP1\0" file header around a payload with no format tag and
+ * the drift log as CSV text.
+ */
+std::string
+preChainSnapshotBin(const driftlog::Table &log, uint64_t last_wal_seq)
+{
+    Writer payload;
+    payload.putU64(last_wal_seq);
+    payload.putI64(0); // logicalTime
+    payload.putI64(1); // nextVersionId
+    payload.putU64(log.rowCount());
+    payload.putU64(0); // dedupHits
+    std::ostringstream csv;
+    driftlog::writeCsv(log, csv);
+    payload.putString(csv.str());
+    payload.putU64(0);      // uploads
+    payload.putU64(0);      // dedup windows
+    payload.putU64(0);      // blobs
+    payload.putBool(false); // no clean patch
+    const std::string &body = payload.bytes();
+    Writer file;
+    const char magic[8] = {'N', 'Z', 'S', 'N', 'A', 'P', '1', 0};
+    file.putBytes(magic, sizeof(magic));
+    file.putU64(body.size());
+    file.putU32(crc32(body.data(), body.size()));
+    file.putBytes(body.data(), body.size());
+    return file.take();
+}
+
+TEST_F(PersistCloudTest, PreChainSnapshotBinIsRefusedAndKept)
+{
+    // A pre-chain state directory: all state in a CSV-era snapshot.bin,
+    // and the WAL truncated to its header when that snapshot was
+    // written. Recovering from the WAL alone would silently drop every
+    // row, so recovery must refuse and leave the file where it is.
+    TempDir dir("pre_chain");
+    driftlog::DriftLog log;
+    for (int i = 0; i < 12; ++i)
+        log.add(scriptEntry(i));
+    const std::string snap = preChainSnapshotBin(log.table(), 12);
+    const fs::path bin = dir.path / "snapshot.bin";
+    {
+        std::ofstream(bin, std::ios::binary) << snap;
+        std::ofstream(dir.path / "wal.log", std::ios::binary)
+            .write(Wal::kMagic, sizeof(Wal::kMagic));
+    }
+
+    EXPECT_THROW(recoverDir(dir.path, /*dedup_window=*/8), NazarError);
+    EXPECT_THROW(sim::Cloud(scriptConfig(dir.path.string(), 0),
+                            scriptBase()),
+                 NazarError);
+    ScrubReport scrub = scrubStateDir(dir.path);
+    EXPECT_FALSE(scrub.ok);
+
+    ASSERT_TRUE(fs::exists(bin));
+    std::ifstream in(bin, std::ios::binary);
+    std::string kept((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(kept, snap);
+    EXPECT_EQ(fs::file_size(dir.path / "wal.log"), sizeof(Wal::kMagic));
 }
 
 } // namespace

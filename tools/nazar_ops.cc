@@ -489,8 +489,6 @@ cmdScrub(const std::string &dir)
     summary.addRow(
         {"chain length", TablePrinter::num(report.chainLength)});
     summary.addRow({"chain bytes", TablePrinter::num(report.chainBytes)});
-    summary.addRow(
-        {"legacy snapshot", report.legacySnapshot ? "present" : "absent"});
     std::printf("%s: integrity walk\n%s\n", dir.c_str(),
                 summary.toString().c_str());
     for (const auto &note : report.notes)

@@ -24,9 +24,12 @@
  *   supervise — the chaos harness: fork a serve child on a fixed
  *            port + state dir, drive it with reconnect-enabled load
  *            clients, SIGKILL and respawn the child --kills times
- *            mid-load, then reconcile exactly — every client must
- *            end with acksAccepted == sent, and the state dir must
- *            recover to exactly acksAccepted ingests. Prints
+ *            mid-load (each kill --kill-after-ms after the last
+ *            spawn, or once the load has acked its even share of
+ *            events, whichever comes first), then reconcile
+ *            exactly — every client must end with
+ *            acksAccepted == sent, and the state dir must recover
+ *            to exactly acksAccepted ingests. Prints
  *            `SUPERVISE ...` and the final `RECONCILED ok` line;
  *            exits 1 on any mismatch.
  *
@@ -342,6 +345,8 @@ cmdSupervise(const ServeOptions &serve_opts,
     load.reconnect.enabled = true;
     if (load.reconnect.recvTimeoutMs == 0)
         load.reconnect.recvTimeoutMs = 5000;
+    std::atomic<uint64_t> acked{0};
+    load.ackedEvents = &acked;
 
     std::atomic<bool> loadDone{false};
     server::LoadStats stats;
@@ -384,9 +389,21 @@ cmdSupervise(const ServeOptions &serve_opts,
                         : spawnServe(childArgs);
         }
     } else {
+        // A fixed delay alone lets a fast server finish the whole
+        // load before the last kill; the ack-share trigger keeps
+        // every kill inside the load whatever the server's speed.
+        const uint64_t events = static_cast<uint64_t>(load.clients) *
+                                static_cast<uint64_t>(load.eventsPerClient);
         for (int k = 0; k < sup.kills && !loadDone; ++k) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(sup.killAfterMs));
+            const uint64_t share = events * static_cast<uint64_t>(k + 1) /
+                                   static_cast<uint64_t>(sup.kills + 1);
+            const auto deadline =
+                std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(sup.killAfterMs);
+            while (!loadDone && acked.load() < share &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(2));
             if (loadDone)
                 break;
             ::kill(child, SIGKILL);
