@@ -4,24 +4,18 @@
  * from the durability directory as the WAL grows, and how snapshots
  * bound the replay work. Seeds BENCH_crash_recovery.json.
  *
- * Three experiments:
+ * Two experiments:
  *
- *  1. Snapshot-interval grid. For each (snapshotEvery, fullEvery) and
- *     each ingest count, a persisted cloud absorbs the scripted
+ *  1. Snapshot-interval grid. For each snapshotEvery and each ingest
+ *     count, a persisted cloud absorbs the scripted
  *     telemetry and is dropped WITHOUT a final checkpoint — exactly
  *     what a crash leaves behind — then recovery is timed over the
  *     directory. Headline: with snapshots on, recovery time and
  *     replayed-record count stay bounded by the snapshot interval
- *     instead of growing with history length.
+ *     instead of growing with history length; dirBytes shows the
+ *     on-disk footprint (GC keeps one snapshot file).
  *
- *  2. Incremental vs full chains. fullEvery = 1 writes a full
- *     snapshot every time (the pre-chain behaviour); fullEvery = 8
- *     writes mostly deltas, which archive only the WAL records since
- *     the previous snapshot. Deltas trade a slightly longer recovery
- *     walk for much cheaper snapshot writes; dirBytes shows the
- *     on-disk footprint either way (GC keeps both bounded).
- *
- *  3. Disk-fault recovery. An injected mid-run fault (failed WAL
+ *  2. Disk-fault recovery. An injected mid-run fault (failed WAL
  *     fsync with dropped dirty pages / ENOSPC on append) latches the
  *     durability layer; the row reports how much was durable at the
  *     latch and how long recovery from the poisoned directory takes.
@@ -93,7 +87,6 @@ dirBytes(const fs::path &dir)
 struct Row
 {
     uint64_t snapshotEvery;
-    uint64_t fullEvery;
     size_t ingests;
     uint64_t walBytes;
     uint64_t dirBytes;
@@ -132,10 +125,8 @@ main(int argc, char **argv)
                         app.domain.featureDim(),
                         app.domain.numClasses(), 5);
 
-    // (snapshotEvery, fullEvery): WAL-only, always-full chains, and
-    // mostly-delta chains at two intervals.
-    const std::vector<std::pair<uint64_t, uint64_t>> grid = {
-        {0, 1}, {512, 1}, {512, 8}, {2048, 1}, {2048, 8}};
+    // snapshotEvery: WAL-only, then two snapshot intervals.
+    const std::vector<uint64_t> grid = {0, 512, 2048};
     const std::vector<size_t> counts =
         quick ? std::vector<size_t>{500, 2000}
               : std::vector<size_t>{500, 2000, 8000};
@@ -155,7 +146,7 @@ main(int argc, char **argv)
     };
 
     std::vector<Row> rows;
-    for (auto [interval, full_every] : grid) {
+    for (uint64_t interval : grid) {
         for (size_t count : counts) {
             fs::remove_all(dir);
             {
@@ -163,7 +154,6 @@ main(int argc, char **argv)
                 config.minAdaptSamples = 1u << 30;
                 config.persist.dir = dir.string();
                 config.persist.snapshotEvery = interval;
-                config.persist.fullEvery = full_every;
                 sim::Cloud cloud(config, base);
                 runIngests(cloud, count);
                 // No checkpoint: the directory is left exactly as a
@@ -171,7 +161,6 @@ main(int argc, char **argv)
             }
             Row row;
             row.snapshotEvery = interval;
-            row.fullEvery = full_every;
             row.ingests = count;
             row.walBytes = fs::exists(dir / "wal.log")
                                ? fs::file_size(dir / "wal.log")
@@ -236,12 +225,11 @@ main(int argc, char **argv)
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         std::printf(
-            "    {\"snapshotEvery\": %llu, \"fullEvery\": %llu, "
-            "\"ingests\": %zu, \"walBytes\": %llu, \"dirBytes\": %llu, "
+            "    {\"snapshotEvery\": %llu, \"ingests\": %zu, "
+            "\"walBytes\": %llu, \"dirBytes\": %llu, "
             "\"snapshotLoaded\": %s, \"replayedRecords\": %llu, "
             "\"recoverMs\": %.3f}%s\n",
-            static_cast<unsigned long long>(r.snapshotEvery),
-            static_cast<unsigned long long>(r.fullEvery), r.ingests,
+            static_cast<unsigned long long>(r.snapshotEvery), r.ingests,
             static_cast<unsigned long long>(r.walBytes),
             static_cast<unsigned long long>(r.dirBytes),
             r.snapshotLoaded ? "true" : "false",

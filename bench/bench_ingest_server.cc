@@ -1,8 +1,8 @@
 /**
  * @file
- * Ingest-server throughput benchmark: group commit vs per-record
- * flushing over a real TCP socket, reported as JSON. Seeds
- * BENCH_ingest_server.json.
+ * Ingest-server throughput benchmark: group commit (maxBatch 256, the
+ * default) vs per-record flushing (maxBatch 1) over a real TCP
+ * socket, reported as JSON. Seeds BENCH_ingest_server.json.
  *
  * Each point stands up a persisted Cloud (WAL in fdatasync mode, so a
  * sync is a real kernel round-trip, not a stdio flush) behind the
@@ -56,7 +56,7 @@ using namespace nazar;
 
 struct Row
 {
-    bool groupCommit;
+    size_t maxBatch;
     size_t clients;
     double eventsPerSec;
     double p50Ms;
@@ -67,7 +67,7 @@ struct Row
 };
 
 Row
-runPoint(bool group, size_t clients, size_t events_per_client)
+runPoint(size_t max_batch, size_t clients, size_t events_per_client)
 {
     // Each point gets a fresh registry so its stage histograms are not
     // polluted by the previous point's samples.
@@ -84,7 +84,7 @@ runPoint(bool group, size_t clients, size_t events_per_client)
     config.persist.sync = persist::SyncMode::kFdatasync;
     sim::Cloud cloud(config, base);
     server::ServerConfig sc;
-    sc.groupCommit = group;
+    sc.maxBatch = max_batch;
     server::IngestServer server(cloud, sc);
     server.start();
 
@@ -97,7 +97,7 @@ runPoint(bool group, size_t clients, size_t events_per_client)
     NAZAR_CHECK(stats.reconciled, "benchmark run failed to reconcile");
 
     Row row;
-    row.groupCommit = group;
+    row.maxBatch = max_batch;
     row.clients = clients;
     row.eventsPerSec = stats.eventsPerSec;
     row.p50Ms = stats.p50Ms;
@@ -149,7 +149,7 @@ runRecoveryPoint(size_t clients, size_t events_per_client)
         static_cast<uint64_t>(clients * events_per_client);
     auto cloud = std::make_unique<sim::Cloud>(config, base);
     server::ServerConfig sc;
-    sc.groupCommit = false;
+    sc.maxBatch = 1;
     auto server =
         std::make_unique<server::IngestServer>(*cloud, sc);
     server->start();
@@ -239,7 +239,7 @@ runRecoveryPoint(size_t clients, size_t events_per_client)
     recovered.persist.crashAtHit = 0;
     cloud = std::make_unique<sim::Cloud>(recovered, base);
     server::ServerConfig rc;
-    rc.groupCommit = false;
+    rc.maxBatch = 1;
     rc.port = port;
     server = std::make_unique<server::IngestServer>(*cloud, rc);
     server->start();
@@ -294,9 +294,9 @@ main(int argc, char **argv)
               : std::vector<size_t>{1, 2, 4, 8};
 
     std::vector<Row> rows;
-    for (bool group : {false, true})
+    for (size_t max_batch : {size_t{1}, server::ServerConfig{}.maxBatch})
         for (size_t clients : client_counts)
-            rows.push_back(runPoint(group, clients,
+            rows.push_back(runPoint(max_batch, clients,
                                     events_per_client));
     const size_t recovery_events = quick ? 600 : 2000;
     RecoveryRow recovery = runRecoveryPoint(4, recovery_events);
@@ -311,10 +311,10 @@ main(int argc, char **argv)
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         std::printf(
-            "    {\"groupCommit\": %s, \"clients\": %zu, "
+            "    {\"maxBatch\": %zu, \"clients\": %zu, "
             "\"eventsPerSec\": %.0f, \"p50Ms\": %.3f, "
             "\"p99Ms\": %.3f, \"messages\": %zu, \"batches\": %zu,\n",
-            r.groupCommit ? "true" : "false", r.clients,
+            r.maxBatch, r.clients,
             r.eventsPerSec, r.p50Ms, r.p99Ms, r.messages, r.batches);
         std::printf("     \"stages\": [");
         for (size_t s = 0; s < r.stages.size(); ++s) {

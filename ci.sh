@@ -129,7 +129,8 @@ if [ "$DO_RELEASE" = 1 ]; then
     ./build-ci/tools/nazar_ops wal build-ci/crash_state/wal.log \
         > /dev/null
     # The offline scrubber must certify the crash-surviving directory:
-    # every WAL record CRC, every chain-file header and link.
+    # every WAL record CRC, every snapshot file's header and CRC, and
+    # the newest snapshot's decode.
     ./build-ci/tools/nazar_ops scrub build-ci/crash_state \
         > build-ci/crash_scrub.out
     grep -q "SCRUB ok" build-ci/crash_scrub.out || {

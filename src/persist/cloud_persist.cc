@@ -146,153 +146,65 @@ applySnapshot(RecoveredState &st, SnapshotData &&snap)
     st.cleanPatchTime = snap.cleanPatchTime;
 }
 
-/** All valid chain files in @p dir, keyed by id (invalid = absent). */
-std::map<uint64_t, ChainFile>
-collectChainFiles(const fs::path &dir)
+/** A `snap-<id>.delta`: a delta snapshot, which this build cannot read. */
+bool
+isDeltaFileName(const std::string &name)
 {
-    std::map<uint64_t, ChainFile> files;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        auto parsed = parseChainFileName(entry.path().filename().string());
-        if (!parsed.has_value())
-            continue;
-        auto loaded = loadChainFile(entry.path());
-        if (!loaded.has_value())
-            continue; // torn or corrupt: treated as absent
-        if (loaded->header.id != parsed->first ||
-            loaded->header.kind != parsed->second)
-            continue; // header disagrees with the filename
-        files.emplace(loaded->header.id, std::move(*loaded));
-    }
-    return files;
+    return name.starts_with("snap-") && name.ends_with(".delta");
 }
 
-/** What the snapshot-chain loader tells CloudPersistence. */
-struct ChainRecovery
-{
-    bool loaded = false; ///< A snapshot chain was applied.
-    uint64_t headId = 0;
-    uint32_t headCrc = 0;
-    uint64_t headLastWalSeq = 0;
-    uint64_t deltasSinceFull = 0;
-};
-
 /**
- * Load the newest snapshot chain into @p st. A delta whose base is
- * missing or CRC-mismatched is a broken chain: recovery REFUSES
- * (NazarError) rather than silently adopting stale state — the base
- * provably existed when the delta committed, so its absence means
- * the directory was damaged outside the protocol.
+ * Load the newest valid snapshot into @p st and return its id (0 when
+ * there is none). Refuses (NazarError), touching nothing, a directory
+ * holding a file whose state is nowhere else: a pre-chain
+ * snapshot.bin (its drift log is CSV, a payload this build cannot
+ * read) or a delta snapshot (it archived WAL records that were then
+ * truncated from the WAL). Recovering without either would silently
+ * drop that state.
  */
-ChainRecovery
-loadSnapshotChain(RecoveredState &st, const fs::path &dir,
-                  size_t dedup_window)
+uint64_t
+loadSnapshotChain(RecoveredState &st, const fs::path &dir)
 {
-    // The pre-chain layout kept the whole state in snapshot.bin with
-    // the drift log as CSV, a payload this build cannot read. Its WAL
-    // was truncated when it was written, so recovering without it
-    // would silently drop that state: refuse, and leave it in place.
     std::error_code ec;
     NAZAR_CHECK(!fs::exists(dir / kLegacySnapshotName, ec),
                 "recover: " + (dir / kLegacySnapshotName).string() +
                     " is a pre-chain snapshot (drift log as CSV, no "
                     "NZIMG1 format tag) that this build cannot read; "
                     "refusing to recover without it");
-    ChainRecovery out;
-    std::map<uint64_t, ChainFile> files = collectChainFiles(dir);
-    if (files.empty())
-        return out;
-
-    // Walk head -> base until a full snapshot anchors the chain.
-    const ChainFile *cur = &files.rbegin()->second;
-    out.headId = cur->header.id;
-    out.headCrc = cur->header.payloadCrc;
-    out.headLastWalSeq = cur->header.lastWalSeq;
-    std::vector<const ChainFile *> chain;
-    while (true) {
-        chain.push_back(cur);
-        if (cur->header.kind == ChainKind::kFull)
-            break;
-        auto base = files.find(cur->header.baseId);
-        NAZAR_CHECK(base != files.end(),
-                    "recover: snapshot chain broken — " +
-                        chainFileName(cur->header.id, cur->header.kind) +
-                        " needs missing/corrupt base id " +
-                        std::to_string(cur->header.baseId));
-        NAZAR_CHECK(base->second.header.payloadCrc == cur->header.baseCrc,
-                    "recover: snapshot chain broken — base id " +
-                        std::to_string(cur->header.baseId) +
-                        " does not match the CRC its delta recorded");
-        cur = &base->second;
+    std::map<uint64_t, fs::path> paths;
+    for (const auto &entry : fs::directory_iterator(dir, ec)) {
+        const std::string name = entry.path().filename().string();
+        NAZAR_CHECK(!isDeltaFileName(name),
+                    "recover: " + entry.path().string() +
+                        " is a delta snapshot, which this build no "
+                        "longer reads; the WAL records it archived are "
+                        "in no other file, so refusing to recover "
+                        "without it");
+        if (auto id = parseChainFileName(name))
+            paths.emplace(*id, entry.path());
     }
-    out.deltasSinceFull = chain.size() - 1;
-
-    // Apply base-first: full snapshot, then each delta's records.
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        const ChainFile &file = **it;
-        if (file.header.kind == ChainKind::kFull) {
-            applySnapshot(st, decodeSnapshot(file.payload));
-        } else {
-            for (const WalRecord &rec :
-                 decodeDeltaRecords(file.payload)) {
-                if (rec.seq <= st.lastWalSeq)
-                    continue;
-                applyWalRecord(st, rec, dedup_window);
-                st.lastWalSeq = rec.seq;
-            }
-        }
-        if (file.header.lastWalSeq > st.lastWalSeq)
-            st.lastWalSeq = file.header.lastWalSeq;
+    for (auto it = paths.rbegin(); it != paths.rend(); ++it) {
+        auto head = loadChainFile(it->second);
+        // Torn or corrupt, or a header that disagrees with the
+        // filename: treated as absent.
+        if (!head.has_value() || head->header.id != it->first)
+            continue;
+        applySnapshot(st, decodeSnapshot(head->payload));
+        if (head->header.lastWalSeq > st.lastWalSeq)
+            st.lastWalSeq = head->header.lastWalSeq;
+        st.snapshotLoaded = true;
+        return it->first;
     }
-    out.loaded = true;
-    return out;
+    return 0;
 }
 
 } // namespace
-
-std::string
-encodeDeltaRecords(const std::vector<WalRecord> &records)
-{
-    Writer w;
-    w.putU32(static_cast<uint32_t>(records.size()));
-    for (const WalRecord &rec : records) {
-        w.putU8(static_cast<uint8_t>(rec.type));
-        w.putU64(rec.seq);
-        w.putString(rec.payload);
-    }
-    return w.take();
-}
-
-std::vector<WalRecord>
-decodeDeltaRecords(const std::string &payload)
-{
-    Reader r(payload);
-    uint32_t count = r.getU32();
-    std::vector<WalRecord> records;
-    uint64_t last_seq = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-        WalRecord rec;
-        uint8_t type = r.getU8();
-        NAZAR_CHECK(type >= 1 && type <= 4,
-                    "persist: unknown record type in delta snapshot");
-        rec.type = static_cast<WalRecordType>(type);
-        rec.seq = r.getU64();
-        NAZAR_CHECK(rec.seq > last_seq,
-                    "persist: non-increasing seq in delta snapshot");
-        last_seq = rec.seq;
-        rec.payload = r.getString();
-        records.push_back(std::move(rec));
-    }
-    NAZAR_CHECK(r.atEnd(), "persist: trailing bytes in delta snapshot");
-    return records;
-}
 
 RecoveredState
 recoverDir(const fs::path &dir, size_t dedup_window)
 {
     RecoveredState st;
-    ChainRecovery chain = loadSnapshotChain(st, dir, dedup_window);
-    st.snapshotLoaded = chain.loaded;
+    loadSnapshotChain(st, dir);
     WalScan scan = Wal::scan(dir / "wal.log");
     NAZAR_CHECK(!scan.unreadable,
                 "recover: " + (dir / "wal.log").string() +
@@ -320,18 +232,11 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
     env_.arm(config_.fault);
 
     fs::path dir(config_.dir);
-    ChainRecovery chain =
-        loadSnapshotChain(recovered_, dir, dedup_window);
-    if (chain.loaded) {
-        recovered_.snapshotLoaded = true;
+    chainHeadId_ = loadSnapshotChain(recovered_, dir);
+    if (recovered_.snapshotLoaded)
         obs::Registry::global()
             .counter("persist.recover.snapshot_loads")
             .add(1);
-    }
-    chainHeadId_ = chain.headId;
-    chainHeadCrc_ = chain.headCrc;
-    chainLastWalSeq_ = chain.headLastWalSeq;
-    deltasSinceFull_ = chain.deltasSinceFull;
 
     // A crash during a tmp phase leaves orphans (snapshot.tmp or
     // snap-*.tmp); they were never committed, so discard them.
@@ -467,80 +372,35 @@ CloudPersistence::snapshotDue() const
            appendsSince_ >= config_.snapshotEvery;
 }
 
-bool
-CloudPersistence::nextSnapshotIsFull() const
-{
-    return chainHeadId_ == 0 || config_.fullEvery <= 1 ||
-           deltasSinceFull_ + 1 >= config_.fullEvery;
-}
-
 void
 CloudPersistence::writeSnapshot(SnapshotData &data)
 {
     data.lastWalSeq = wal_->lastSeq();
     ChainHeader header;
-    header.kind = ChainKind::kFull;
     header.id = chainHeadId_ + 1;
     header.lastWalSeq = data.lastWalSeq;
-    chainHeadCrc_ = writeChainFile(fs::path(config_.dir), header,
-                                   encodeSnapshot(data), injector_, env_);
+    writeChainFile(fs::path(config_.dir), header, encodeSnapshot(data),
+                   injector_, env_);
     chainHeadId_ = header.id;
-    chainLastWalSeq_ = data.lastWalSeq;
-    deltasSinceFull_ = 0;
     wal_->truncateAll();
     appendsSince_ = 0;
     gcSupersededChain();
 }
 
 void
-CloudPersistence::writeDeltaSnapshot()
-{
-    NAZAR_SPAN("persist.snapshot_delta");
-    NAZAR_ASSERT(chainHeadId_ != 0,
-                 "delta snapshot without a chain base");
-    // Every append path syncs before returning, so the on-disk WAL
-    // holds exactly the records since the last truncation. Filter to
-    // seqs above the chain head: a crash between a snapshot's rename
-    // and its WAL truncation legitimately leaves older records behind.
-    WalScan scan = Wal::scan(wal_->path());
-    std::vector<WalRecord> records;
-    records.reserve(scan.records.size());
-    for (auto &rec : scan.records) {
-        if (rec.seq > chainLastWalSeq_)
-            records.push_back(std::move(rec));
-    }
-    uint64_t last_seq = wal_->lastSeq();
-    ChainHeader header;
-    header.kind = ChainKind::kDelta;
-    header.id = chainHeadId_ + 1;
-    header.baseId = chainHeadId_;
-    header.baseCrc = chainHeadCrc_;
-    header.lastWalSeq = last_seq;
-    chainHeadCrc_ =
-        writeChainFile(fs::path(config_.dir), header,
-                       encodeDeltaRecords(records), injector_, env_);
-    chainHeadId_ = header.id;
-    chainLastWalSeq_ = last_seq;
-    ++deltasSinceFull_;
-    wal_->truncateAll();
-    appendsSince_ = 0;
-}
-
-void
 CloudPersistence::gcSupersededChain()
 {
-    // Safety invariant: only called right after a FULL snapshot
-    // committed, so the recovery chain is exactly {chainHeadId_} and
-    // every older chain file is superseded. Unlinks are best-effort:
-    // a survivor is harmless (recovery picks the newest chain) and
+    // Safety invariant: only called right after a snapshot committed,
+    // so recovery needs exactly {chainHeadId_} and every older
+    // snapshot file is superseded. Unlinks are best-effort: a
+    // survivor is harmless (recovery picks the newest snapshot) and
     // must not poison the log.
     fs::path dir(config_.dir);
     std::error_code ec;
     std::vector<fs::path> victims;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        auto parsed =
-            parseChainFileName(entry.path().filename().string());
-        if (parsed.has_value() && parsed->first < chainHeadId_)
+        auto id = parseChainFileName(entry.path().filename().string());
+        if (id.has_value() && *id < chainHeadId_)
             victims.push_back(entry.path());
     }
     uint64_t removed = 0;
@@ -589,87 +449,63 @@ scrubStateDir(const fs::path &dir)
         report.notes.push_back("no wal.log (fresh or empty state dir)");
     }
 
-    // --- chain files: magic, CRC, filename/header agreement --------
-    std::map<uint64_t, ChainFile> valid;
-    std::vector<std::string> names;
+    // --- snapshot files: magic, CRC, filename/header agreement -----
+    std::optional<ChainFile> head; // the newest valid one
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         std::string name = entry.path().filename().string();
-        auto parsed = parseChainFileName(name);
-        if (!parsed.has_value())
+        if (isDeltaFileName(name)) {
+            report.ok = false;
+            report.issues.push_back(
+                "delta snapshot " + name +
+                " present (unreadable by this build): recovery refuses "
+                "this directory");
+            continue;
+        }
+        auto id = parseChainFileName(name);
+        if (!id.has_value())
             continue;
         auto loaded = loadChainFile(entry.path());
         if (!loaded.has_value()) {
             report.ok = false;
-            report.issues.push_back("corrupt chain file: " + name);
+            report.issues.push_back("corrupt snapshot file: " + name);
             continue;
         }
-        if (loaded->header.id != parsed->first ||
-            loaded->header.kind != parsed->second) {
+        if (loaded->header.id != *id) {
             report.ok = false;
             report.issues.push_back(
-                "chain file header disagrees with filename: " + name);
+                "snapshot file header disagrees with filename: " + name);
             continue;
         }
         ++report.chainFiles;
         report.chainBytes += loaded->payload.size();
-        names.push_back(name);
-        valid.emplace(loaded->header.id, std::move(*loaded));
+        if (!head.has_value() || *id > head->header.id)
+            head = std::move(loaded);
     }
 
-    // --- recovery chain: head -> full, links pinned by CRC ----------
-    if (!valid.empty()) {
-        const ChainFile *cur = &valid.rbegin()->second;
-        uint64_t chain_last_seq = cur->header.lastWalSeq;
-        while (true) {
-            ++report.chainLength;
-            try {
-                if (cur->header.kind == ChainKind::kFull)
-                    decodeSnapshot(cur->payload);
-                else
-                    decodeDeltaRecords(cur->payload);
-            } catch (const NazarError &e) {
-                report.ok = false;
-                report.issues.push_back(
-                    "chain payload fails to decode (id " +
-                    std::to_string(cur->header.id) + "): " + e.what());
-            }
-            if (cur->header.kind == ChainKind::kFull)
-                break;
-            auto base = valid.find(cur->header.baseId);
-            if (base == valid.end()) {
-                report.ok = false;
-                report.issues.push_back(
-                    "chain link broken: id " +
-                    std::to_string(cur->header.id) +
-                    " needs missing/corrupt base id " +
-                    std::to_string(cur->header.baseId));
-                break;
-            }
-            if (base->second.header.payloadCrc != cur->header.baseCrc) {
-                report.ok = false;
-                report.issues.push_back(
-                    "chain link CRC mismatch: id " +
-                    std::to_string(cur->header.id) + " expects base " +
-                    std::to_string(cur->header.baseId) +
-                    " with a different payload CRC");
-                break;
-            }
-            cur = &base->second;
+    // --- the snapshot recovery would load: the newest one -----------
+    if (head.has_value()) {
+        try {
+            decodeSnapshot(head->payload);
+        } catch (const NazarError &e) {
+            report.ok = false;
+            report.issues.push_back("snapshot payload fails to decode (id " +
+                                    std::to_string(head->header.id) +
+                                    "): " + e.what());
         }
-        if (report.chainLength < valid.size())
-            report.notes.push_back(
-                std::to_string(valid.size() - report.chainLength) +
-                " superseded chain file(s) awaiting GC");
+        if (report.chainFiles > 1)
+            report.notes.push_back(std::to_string(report.chainFiles - 1) +
+                                   " superseded snapshot file(s) "
+                                   "awaiting GC");
         if (report.walRecords > 0 && report.ok) {
             WalScan scan = Wal::scan(wal_path);
             uint64_t stale = 0;
             for (const auto &rec : scan.records)
-                if (rec.seq <= chain_last_seq)
+                if (rec.seq <= head->header.lastWalSeq)
                     ++stale;
             if (stale > 0)
                 report.notes.push_back(
                     std::to_string(stale) +
-                    " WAL record(s) already inside the snapshot chain "
+                    " WAL record(s) already inside the snapshot "
                     "(crash before truncation; replay skips them)");
         }
     }

@@ -19,7 +19,8 @@
  *  - Every snapshotEvery appends, the full state is snapshotted
  *    (rename-on-commit) and the WAL is truncated; the snapshot's
  *    lastWalSeq makes replay idempotent across every crash point in
- *    that sequence.
+ *    that sequence. Recovery is the newest valid snapshot plus the
+ *    WAL records above its lastWalSeq.
  *
  * Determinism contract: with persistence off, Cloud never calls in
  * here. With persistence on and the injector disarmed, no RNG is
@@ -47,15 +48,10 @@ namespace nazar::persist {
 /** Durability configuration (off by default: dir empty). */
 struct PersistConfig
 {
-    /** State directory (wal.log + snapshot chain). Empty = off. */
+    /** State directory (wal.log + snapshot files). Empty = off. */
     std::string dir;
     /** WAL appends between snapshots (0 = snapshot only on demand). */
-    uint64_t snapshotEvery = 256;
-    /**
-     * Every Kth snapshot is a full one; the rest are deltas chained
-     * on top of it (1 = always full, the pre-chain behaviour).
-     */
-    uint64_t fullEvery = 8;
+    uint64_t snapshotEvery = 2048;
     /** Arm the crash injector at the Nth site hit (0 = disarmed). */
     uint64_t crashAtHit = 0;
     /** Arm the I/O environment's disk fault (disarmed by default). */
@@ -99,11 +95,14 @@ struct VersionBlobs
 };
 
 /**
- * Read-only recovery: load the snapshot chain (when valid) and replay
- * the WAL. Used by `nazar_ops recover` and by tests; Cloud recovery
- * goes through CloudPersistence, which additionally opens the WAL for
+ * Read-only recovery: load the newest valid snapshot and replay the
+ * WAL. Used by `nazar_ops recover` and by tests; Cloud recovery goes
+ * through CloudPersistence, which additionally opens the WAL for
  * append (truncating any torn tail). Both throw NazarError, and touch
- * nothing, when @p dir holds a pre-chain `snapshot.bin`.
+ * nothing, when @p dir holds a file this build cannot read but whose
+ * contents no other file holds: a pre-chain `snapshot.bin`, or a
+ * `snap-<id>.delta` (it archived WAL records that were then
+ * truncated from the WAL).
  *
  * @param dedup_window Dedup window size to replay ingests with; must
  *                     match the CloudConfig the WAL was written under.
@@ -111,41 +110,26 @@ struct VersionBlobs
 RecoveredState recoverDir(const std::filesystem::path &dir,
                           size_t dedup_window = 4096);
 
-/**
- * Encode WAL records as a delta-snapshot payload. A delta archives
- * the live WAL's records (everything since the chain base, because
- * the WAL is truncated at every snapshot) so recovery can replay them
- * through the ordinary WAL machinery.
- */
-std::string encodeDeltaRecords(const std::vector<WalRecord> &records);
-
-/**
- * Decode a delta-snapshot payload; throws NazarError on malformed
- * bytes, unknown record types, or non-increasing seqs.
- */
-std::vector<WalRecord> decodeDeltaRecords(const std::string &payload);
-
 /** What `nazar_ops scrub` reports about a state directory. */
 struct ScrubReport
 {
     bool ok = true; ///< No integrity issues (notes are fine).
-    /** Integrity violations: corrupt files, broken chain links. */
+    /** Integrity violations: corrupt files, unreadable leftovers. */
     std::vector<std::string> issues;
     /** Benign observations: torn WAL tail, stale leftovers. */
     std::vector<std::string> notes;
     uint64_t walRecords = 0;
     uint64_t walTornBytes = 0;
-    uint64_t chainFiles = 0;       ///< Valid chain files present.
-    uint64_t chainLength = 0;      ///< Elements in the recovery chain.
-    uint64_t chainBytes = 0;       ///< Payload bytes across chain files.
+    uint64_t chainFiles = 0; ///< Valid snapshot files present.
+    uint64_t chainBytes = 0; ///< Payload bytes across snapshot files.
 };
 
 /**
  * Offline, read-only integrity walk of a state directory: verifies
- * the WAL's record CRCs and seq monotonicity, every chain file's
- * header + payload CRC, each delta's link to its base (baseId exists,
- * baseCrc matches), and that the recovery chain decodes. Never
- * modifies anything.
+ * the WAL's record CRCs and seq monotonicity, every snapshot file's
+ * header + payload CRC, and that the newest snapshot decodes. A
+ * `snapshot.bin` or `snap-<id>.delta` is an issue (recovery refuses
+ * the directory). Never modifies anything.
  */
 ScrubReport scrubStateDir(const std::filesystem::path &dir);
 
@@ -216,30 +200,15 @@ class CloudPersistence
     bool snapshotDue() const;
 
     /**
-     * True when the next snapshot must be a full one (no chain yet,
-     * or fullEvery deltas would otherwise pile up). The owner then
-     * builds a full SnapshotData for writeSnapshot(); otherwise it
-     * calls writeDeltaSnapshot(), which needs no state dump at all.
-     */
-    bool nextSnapshotIsFull() const;
-
-    /**
-     * Write a FULL chain snapshot (rename-on-commit), truncate the
-     * WAL, and GC every superseded chain file (safety invariant: a
-     * committed full IS the whole recovery chain, so everything older
-     * is removable). data.lastWalSeq is filled in from the WAL; the
-     * rest of @p data is only read. The caller owns the
-     * `persist.snapshot` span, so it can cover the state capture too.
+     * Write a snapshot (rename-on-commit), truncate the WAL, and GC
+     * every older snapshot file (safety invariant: the committed
+     * snapshot plus the WAL is the whole recovery state, so
+     * everything older is removable). data.lastWalSeq is filled in
+     * from the WAL; the rest of @p data is only read. The caller owns
+     * the `persist.snapshot` span, so it can cover the state capture
+     * too.
      */
     void writeSnapshot(SnapshotData &data);
-
-    /**
-     * Write a DELTA chain snapshot: archive the live WAL's records
-     * (filtered to seqs above the chain head) under a chained header,
-     * then truncate the WAL. O(records since last snapshot) — the
-     * blob store is not touched.
-     */
-    void writeDeltaSnapshot();
 
     /** True once any I/O failed: the fsync gate is latched. */
     bool diskFaulted() const { return env_.faulted(); }
@@ -255,16 +224,16 @@ class CloudPersistence
     /** Appends since the last snapshot (exposed for tests). */
     uint64_t appendsSinceSnapshot() const { return appendsSince_; }
 
-    /** Chain files removed by snapshot GC over this instance's life. */
+    /** Snapshot files removed by GC over this instance's life. */
     uint64_t snapshotGcRemoved() const { return snapshotGcRemoved_; }
 
-    /** Newest chain element id (0 = no chain yet). */
+    /** Newest snapshot id (0 = no snapshot yet). */
     uint64_t chainHeadId() const { return chainHeadId_; }
 
   private:
     uint64_t append(WalRecordType type, const std::string &payload);
 
-    /** Unlink chain files older than the head. */
+    /** Unlink snapshot files older than the head. */
     void gcSupersededChain();
 
     PersistConfig config_;
@@ -274,10 +243,6 @@ class CloudPersistence
     RecoveredState recovered_;
     uint64_t appendsSince_ = 0;
     uint64_t chainHeadId_ = 0;
-    uint32_t chainHeadCrc_ = 0;
-    /** lastWalSeq of the chain head (next delta starts above it). */
-    uint64_t chainLastWalSeq_ = 0;
-    uint64_t deltasSinceFull_ = 0;
     uint64_t snapshotGcRemoved_ = 0;
 };
 

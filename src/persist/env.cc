@@ -322,7 +322,7 @@ Env::remove(const char *site, const fs::path &path)
 {
     // Best-effort: GC unlinks must never poison the log — a stale
     // file that survives is harmless (recovery picks the newest
-    // chain), so failures are reported, not latched.
+    // snapshot), so failures are reported, not latched.
     {
         std::lock_guard<std::mutex> lk(mu_);
         if (faulted_)

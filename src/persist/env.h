@@ -213,6 +213,30 @@ class Env
     std::map<std::string, bool> closedUnsynced_;
 };
 
+/** Closes an Env file on scope exit, so fault paths do not leak it. */
+struct FileGuard
+{
+    Env &env;
+    Env::File *f;
+
+    FileGuard(Env &e, Env::File *file) : env(e), f(file) {}
+    FileGuard(const FileGuard &) = delete;
+    FileGuard &operator=(const FileGuard &) = delete;
+
+    ~FileGuard()
+    {
+        if (f != nullptr)
+            env.close(f);
+    }
+
+    void
+    closeNow()
+    {
+        env.close(f);
+        f = nullptr;
+    }
+};
+
 } // namespace nazar::persist
 
 #endif // NAZAR_PERSIST_ENV_H

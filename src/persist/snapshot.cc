@@ -13,26 +13,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kChainMagic[8] = {'N', 'Z', 'C', 'H', 'N', '1', 0, 0};
-
-/** Closes an Env file on scope exit (fault paths must not leak). */
-struct FileGuard
-{
-    Env &env;
-    Env::File *f;
-
-    ~FileGuard()
-    {
-        if (f != nullptr)
-            env.close(f);
-    }
-
-    void
-    closeNow()
-    {
-        env.close(f);
-        f = nullptr;
-    }
-};
+/** The header's kind byte: 1 = full, the only kind written or read. */
+constexpr uint8_t kFullKind = 1;
 
 /** Read an entire file ("" when absent or unreadable). */
 std::string
@@ -187,42 +169,30 @@ decodeSnapshot(const std::string &payload)
 }
 
 std::string
-chainFileName(uint64_t id, ChainKind kind)
+chainFileName(uint64_t id)
 {
     std::string digits = std::to_string(id);
     if (digits.size() < 6)
         digits.insert(0, 6 - digits.size(), '0');
-    return "snap-" + digits +
-           (kind == ChainKind::kFull ? ".full" : ".delta");
+    return "snap-" + digits + ".full";
 }
 
-std::optional<std::pair<uint64_t, ChainKind>>
+std::optional<uint64_t>
 parseChainFileName(const std::string &name)
 {
-    std::string stem;
-    ChainKind kind;
-    if (name.size() > 5 && name.substr(name.size() - 5) == ".full") {
-        stem = name.substr(0, name.size() - 5);
-        kind = ChainKind::kFull;
-    } else if (name.size() > 6 &&
-               name.substr(name.size() - 6) == ".delta") {
-        stem = name.substr(0, name.size() - 6);
-        kind = ChainKind::kDelta;
-    } else {
-        return std::nullopt;
-    }
-    if (stem.size() < 6 || stem.substr(0, 5) != "snap-")
+    if (name.size() < 11 || !name.starts_with("snap-") ||
+        !name.ends_with(".full"))
         return std::nullopt;
     uint64_t id = 0;
-    for (size_t i = 5; i < stem.size(); ++i) {
-        if (stem[i] < '0' || stem[i] > '9')
+    for (size_t i = 5; i < name.size() - 5; ++i) {
+        if (name[i] < '0' || name[i] > '9')
             return std::nullopt;
-        id = id * 10 + static_cast<uint64_t>(stem[i] - '0');
+        id = id * 10 + static_cast<uint64_t>(name[i] - '0');
     }
-    return std::make_pair(id, kind);
+    return id;
 }
 
-uint32_t
+void
 writeChainFile(const fs::path &dir, ChainHeader header,
                const std::string &payload, CrashInjector &injector,
                Env &env)
@@ -231,19 +201,18 @@ writeChainFile(const fs::path &dir, ChainHeader header,
 
     Writer w;
     w.putBytes(kChainMagic, sizeof(kChainMagic));
-    w.putU8(static_cast<uint8_t>(header.kind));
+    w.putU8(kFullKind);
     w.putU64(header.id);
-    w.putU64(header.baseId);
-    w.putU32(header.baseCrc);
+    w.putU64(0); // baseId
+    w.putU32(0); // baseCrc
     w.putU64(header.lastWalSeq);
     w.putU64(payload.size());
     w.putU32(header.payloadCrc);
     w.putBytes(payload.data(), payload.size());
 
-    std::string name = chainFileName(header.id, header.kind);
+    std::string name = chainFileName(header.id);
     writeFileAtomic(dir / (name + ".tmp"), dir / name, w.bytes(),
                     injector, env);
-    return header.payloadCrc;
 }
 
 std::optional<ChainFile>
@@ -259,14 +228,11 @@ loadChainFile(const fs::path &path)
         Reader r(bytes.data() + sizeof(kChainMagic),
                  kHeaderSize - sizeof(kChainMagic));
         ChainFile out;
-        uint8_t kind = r.getU8();
-        if (kind != static_cast<uint8_t>(ChainKind::kFull) &&
-            kind != static_cast<uint8_t>(ChainKind::kDelta))
+        if (r.getU8() != kFullKind)
             return std::nullopt;
-        out.header.kind = static_cast<ChainKind>(kind);
         out.header.id = r.getU64();
-        out.header.baseId = r.getU64();
-        out.header.baseCrc = r.getU32();
+        r.getU64(); // baseId
+        r.getU32(); // baseCrc
         out.header.lastWalSeq = r.getU64();
         uint64_t len = r.getU64();
         out.header.payloadCrc = r.getU32();

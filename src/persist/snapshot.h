@@ -7,15 +7,15 @@
  * per-device dedup windows, the registry's blob store, counters, and
  * the last published clean patch — plus `lastWalSeq`, the highest WAL
  * sequence number the snapshot already includes. Recovery loads the
- * snapshot chain (below) and replays only WAL records with
+ * newest snapshot file (below) and replays only WAL records with
  * seq > lastWalSeq, so a crash between the snapshot rename and the WAL
  * truncation cannot double-apply.
  *
- * Every chain file is written to "<name>.tmp" first and renamed onto
- * its final name only when complete (crash sites
+ * Every snapshot file is written to "<name>.tmp" first and renamed
+ * onto its final name only when complete (crash sites
  * "snapshot.tmp.partial", "snapshot.tmp.done", "snapshot.rename.post"
- * cover the three distinct failure windows). A corrupt or torn chain
- * file is treated as absent.
+ * cover the three distinct failure windows). A corrupt or torn
+ * snapshot file is treated as absent.
  */
 #ifndef NAZAR_PERSIST_SNAPSHOT_H
 #define NAZAR_PERSIST_SNAPSHOT_H
@@ -93,72 +93,59 @@ SnapshotData decodeSnapshot(const std::string &payload);
  *  u64 whose bytes spell "NZIMG1\0\0". */
 inline constexpr uint64_t kSnapshotFormatTag = 0x000031474D495A4EULL;
 
-// ---- incremental snapshot chain ------------------------------------
+// ---- snapshot files ------------------------------------------------
 //
-// Full-state snapshots don't scale: the blob store alone makes every
-// snapshot O(published versions). Instead snapshots form a *chain*:
-// a full file every K-th snapshot, delta files in between. A delta
-// archives the WAL records since the previous chain element (the WAL
-// is truncated at every snapshot, so at snapshot time it holds
-// exactly that delta), and links to its base by (baseId, baseCrc).
-// Recovery loads the newest full, replays each delta's records in id
-// order through the ordinary WAL replay, then replays the live WAL.
+// Every snapshot is a full one, in its own file, and the WAL holds
+// everything since: the WAL is truncated only after a snapshot
+// commits. Recovery loads the newest valid file and replays the WAL
+// records above its lastWalSeq. Snapshot GC removes every older file
+// once a new one commits.
 //
-// On-disk layout (file "snap-<id, 6 digits>.full" / ".delta"):
+// On-disk layout (file "snap-<id, 6 digits>.full"):
 //
-//     [8-byte magic "NZCHN1\0\0"][u8 kind][u64 id][u64 baseId]
-//     [u32 baseCrc][u64 lastWalSeq][u64 payloadLen]
-//     [u32 crc32(payload)][payload]
+//     [8-byte magic "NZCHN1\0\0"][u8 kind = 1][u64 id][u64 baseId = 0]
+//     [u32 baseCrc = 0][u64 lastWalSeq][u64 payloadLen]
+//     [u32 crc32(payload)][payload = encodeSnapshot bytes]
 //
-// kind 1 = full (payload = encodeSnapshot bytes; baseId/baseCrc 0),
-// kind 2 = delta (payload = encodeDeltaRecords bytes; baseCrc is the
-// payload CRC of the base file, pinning the chain link).
+// kind/baseId/baseCrc are constants kept from the layout that also
+// chained delta files onto a full one, so files written under it
+// still load. A directory that still holds a "snap-<id>.delta" file
+// is refused by recovery (see recoverDir).
 
-enum class ChainKind : uint8_t {
-    kFull = 1,
-    kDelta = 2,
-};
-
-/** Parsed header of one chain file. */
+/** Parsed header of one snapshot file. */
 struct ChainHeader
 {
-    ChainKind kind = ChainKind::kFull;
     uint64_t id = 0;
-    uint64_t baseId = 0;     ///< 0 for full snapshots.
-    uint32_t baseCrc = 0;    ///< Payload CRC of the base; 0 for full.
-    uint64_t lastWalSeq = 0; ///< Highest WAL seq this element includes.
+    uint64_t lastWalSeq = 0; ///< Highest WAL seq this snapshot includes.
     uint32_t payloadCrc = 0;
 };
 
-/** One loaded chain file. */
+/** One loaded snapshot file. */
 struct ChainFile
 {
     ChainHeader header;
     std::string payload;
 };
 
-/** "snap-000042.full" / "snap-000042.delta". */
-std::string chainFileName(uint64_t id, ChainKind kind);
+/** "snap-000042.full". */
+std::string chainFileName(uint64_t id);
 
-/** Parse a chain filename; nullopt when @p name is not a chain file. */
-std::optional<std::pair<uint64_t, ChainKind>>
-parseChainFileName(const std::string &name);
+/** The id of a snapshot filename; nullopt when @p name is not one. */
+std::optional<uint64_t> parseChainFileName(const std::string &name);
 
 /**
- * Write one chain element into @p dir: tmp file, fsync, rename,
+ * Write one snapshot file into @p dir: tmp file, fsync, rename,
  * directory fsync (a file committed by rename alone can be empty
  * after power loss). All I/O goes through @p env ("env.snap.*"
- * sites). @p header.payloadCrc is computed
- * here and the final value returned, so the caller can link the next
- * delta to it.
+ * sites). @p header.payloadCrc is computed here.
  */
-uint32_t writeChainFile(const std::filesystem::path &dir,
-                        ChainHeader header, const std::string &payload,
-                        CrashInjector &injector, Env &env);
+void writeChainFile(const std::filesystem::path &dir, ChainHeader header,
+                    const std::string &payload, CrashInjector &injector,
+                    Env &env);
 
 /**
- * Load one chain file. Returns nullopt when absent, torn, or failing
- * its checksum — the caller treats the element as missing.
+ * Load one snapshot file. Returns nullopt when absent, torn, or
+ * failing its checksum — the caller treats the file as missing.
  */
 std::optional<ChainFile>
 loadChainFile(const std::filesystem::path &path);

@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -157,11 +158,13 @@ Wal::Wal(const fs::path &path, CrashInjector *injector, SyncMode sync,
     if (!scan.validHeader) {
         // Absent or unrecognizable file: start fresh with a header,
         // made durable (file + directory entry) before any record
-        // relies on it.
-        file_ = env_->open("env.wal.open", path_, "wb");
-        env_->write("env.wal.write", file_, kMagic, sizeof(kMagic));
-        env_->sync("env.wal.sync", file_, syncDepth());
+        // relies on it. The guard closes the file if that throws:
+        // ~Wal does not run for a constructor that never returned.
+        FileGuard guard{*env_, env_->open("env.wal.open", path_, "wb")};
+        env_->write("env.wal.write", guard.f, kMagic, sizeof(kMagic));
+        env_->sync("env.wal.sync", guard.f, syncDepth());
         env_->syncDir("env.wal.dirsync", parentDir());
+        file_ = std::exchange(guard.f, nullptr);
         return;
     }
     if (good < data.size())

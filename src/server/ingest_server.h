@@ -100,12 +100,11 @@ struct ServerConfig
     /** Listen port; 0 binds an ephemeral port (see port()). */
     uint16_t port = 0;
     /**
-     * Batch consecutive kIngest items into Cloud::ingestBatchFrom
-     * (one WAL sync per batch). Off = one ingestFrom + sync per
-     * record, the configuration group commit is benchmarked against.
+     * Largest group-commit batch the committer will assemble: one
+     * Cloud::ingestBatchFrom call, so one WAL sync, per batch. 1 =
+     * one sync per record, the configuration group commit is
+     * benchmarked against.
      */
-    bool groupCommit = true;
-    /** Largest group-commit batch the committer will assemble. */
     size_t maxBatch = 256;
     /**
      * Committer queue bound (0 = unbounded, the historical

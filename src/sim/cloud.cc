@@ -75,25 +75,7 @@ void
 Cloud::ingest(const driftlog::DriftLogEntry &entry,
               std::optional<Upload> upload)
 {
-    static obs::Counter &rows =
-        obs::Registry::global().counter("sim.ingest.rows");
-    static obs::Counter &uploads =
-        obs::Registry::global().counter("sim.uploads");
-    rows.add(1);
-    if (upload.has_value())
-        uploads.add(1);
-    std::lock_guard<std::mutex> lk(ingestMutex_);
-    if (persist_) {
-        // WAL-first: the attempt is durable before the apply, so a
-        // crash between the two replays the row instead of losing it.
-        persist_->logIngest(
-            /*device=*/-1, /*seq=*/0, entry,
-            upload ? &upload->features : nullptr,
-            upload ? &upload->context : nullptr,
-            upload ? upload->driftFlag : false);
-    }
-    ingestLocked(entry, std::move(upload));
-    maybeSnapshotLocked();
+    ingestFrom(/*device=*/-1, /*seq=*/0, entry, std::move(upload));
 }
 
 bool
@@ -135,7 +117,7 @@ Cloud::ingestFrom(int device, uint64_t seq,
             upload ? &upload->context : nullptr,
             upload ? upload->driftFlag : false);
     }
-    if (!dedupAcceptLocked(device, seq)) {
+    if (device >= 0 && !dedupAcceptLocked(device, seq)) {
         maybeSnapshotLocked();
         return false;
     }
@@ -498,13 +480,6 @@ Cloud::gcRegistryBelow(int64_t min_version_id)
 void
 Cloud::writeSnapshotLocked()
 {
-    if (!persist_->nextSnapshotIsFull()) {
-        // Delta snapshot: archive the live WAL's records under a
-        // chained header — no state dump, O(appends since last
-        // snapshot) instead of O(total state).
-        persist_->writeDeltaSnapshot();
-        return;
-    }
     NAZAR_SPAN("persist.snapshot");
     persist::SnapshotData data;
     data.logicalTime = logicalTime_;

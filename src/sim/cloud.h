@@ -114,7 +114,8 @@ class Cloud
      * number. Duplicate (retried or duplicated-in-flight) messages
      * are dropped against a bounded per-device dedup window and
      * counted in `net.dedup_hits`. Returns true when the entry was
-     * accepted, false on a dedup hit. Thread-safe like ingest().
+     * accepted, false on a dedup hit. A negative @p device skips the
+     * dedup window: that is ingest(). Thread-safe like ingest().
      */
     bool ingestFrom(int device, uint64_t seq,
                     const driftlog::DriftLogEntry &entry,
@@ -253,7 +254,8 @@ class Cloud
         uint64_t floor = 0;
     };
 
-    /** Shared tail of ingest()/ingestFrom(); ingestMutex_ held. */
+    /** Shared tail of ingestFrom()/ingestBatchFrom(); ingestMutex_
+     *  held. */
     void ingestLocked(const driftlog::DriftLogEntry &entry,
                       std::optional<Upload> upload);
 

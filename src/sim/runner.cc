@@ -430,13 +430,7 @@ Runner::run()
                 m.device = static_cast<int64_t>(device);
                 m.seq = seq;
                 m.entry = std::move(payload.entry);
-                if (payload.upload.has_value()) {
-                    persist::UploadRecord up;
-                    up.features = std::move(payload.upload->features);
-                    up.context = std::move(payload.upload->context);
-                    up.driftFlag = payload.upload->driftFlag;
-                    m.upload = std::move(up);
-                }
+                m.upload = std::move(payload.upload);
                 remote->sendIngest(m);
                 return;
             }

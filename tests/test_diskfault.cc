@@ -3,7 +3,7 @@
  * Tests for the fault-injecting I/O environment and fail-safe
  * durability: Env fault semantics (short writes, ENOSPC, EIO, failed
  * fsync with dropped dirty pages, lost renames, lost file contents),
- * the fsync gate, incremental snapshot chains, snapshot / registry
+ * the fsync gate, snapshot cadence, snapshot / registry
  * GC, the offline scrubber, decoder fuzzing, and the headline
  * property — an exhaustive per-site disk-fault sweep over a scripted
  * cloud scenario whose recovered state must match a never-faulted
@@ -222,9 +222,8 @@ TEST(EnvTest, RemoveIsBestEffortAndNeverLatches)
 // The same deterministic script as test_persist.cc's crash sweep: two
 // analysis cycles over planted-cause telemetry with duplicate seqs
 // sprinkled in, a baseline flush, and a tail of pending rows left
-// unanalyzed. Config differences: the snapshot chain is exercised
-// (fullEvery = 4, so fulls AND deltas occur inside the script) and
-// faults come from the Env, not the CrashInjector.
+// unanalyzed. Config difference: faults come from the Env, not the
+// CrashInjector.
 
 data::AppSpec &
 scriptApp()
@@ -244,14 +243,13 @@ scriptBase()
 
 sim::CloudConfig
 scriptConfig(const std::string &dir, const DiskFaultPlan &plan,
-             uint64_t full_every = 4)
+             uint64_t snapshot_every = 8)
 {
     sim::CloudConfig config;
     config.minAdaptSamples = 4;
     config.ingestDedupWindow = 8;
     config.persist.dir = dir;
-    config.persist.snapshotEvery = 8;
-    config.persist.fullEvery = full_every;
+    config.persist.snapshotEvery = snapshot_every;
     config.persist.fault = plan;
     return config;
 }
@@ -357,9 +355,9 @@ expectStateEq(const CloudState &got, const CloudState &want,
 std::unique_ptr<sim::Cloud>
 driveFaultScript(const std::string &dir, const DiskFaultPlan &plan,
                  size_t *faults, std::vector<std::string> *sites,
-                 uint64_t full_every = 4)
+                 uint64_t snapshot_every = 8)
 {
-    sim::CloudConfig config = scriptConfig(dir, plan, full_every);
+    sim::CloudConfig config = scriptConfig(dir, plan, snapshot_every);
     auto onFault = [&](const DiskFault &e) {
         if (sites != nullptr)
             sites->push_back(e.site());
@@ -554,7 +552,7 @@ TEST_F(DiskFaultCloudTest, GcUnlinkFaultIsNonFatal)
     auto cloud = driveFaultScript(
         dir.path.string(),
         DiskFaultPlan{"env.snap.unlink", 1, FaultKind::kEio}, &faults,
-        nullptr, /*full_every=*/1);
+        nullptr);
     EXPECT_EQ(faults, 0u);
     EXPECT_FALSE(cloud->persistence()->diskFaulted());
     expectStateEq(captureState(*cloud), oracle, "gc_eio");
@@ -611,73 +609,59 @@ TEST_F(DiskFaultCloudTest, FsyncGateStopsTheCloudUntilRebuilt)
                                    : report.issues[0]);
 }
 
-// ---- incremental snapshot chain + GC --------------------------------
+// ---- snapshot cadence + GC ------------------------------------------
 
-TEST_F(DiskFaultCloudTest, DeltaChainRecoversSameStateAsFullChain)
+TEST_F(DiskFaultCloudTest, SnapshotCadenceRecoversSameState)
 {
-    // fullEvery = 1 (every snapshot full, the pre-chain behaviour)
-    // and fullEvery = 8 (mostly deltas) must recover identical state.
-    TempDir full_dir("chain_full");
-    TempDir delta_dir("chain_delta");
-    auto full_cloud = driveFaultScript(full_dir.path.string(), {},
-                                       nullptr, nullptr,
-                                       /*full_every=*/1);
-    auto delta_cloud = driveFaultScript(delta_dir.path.string(), {},
-                                        nullptr, nullptr,
-                                        /*full_every=*/8);
-    CloudState want = captureState(*full_cloud);
-    expectStateEq(captureState(*delta_cloud), want, "live");
-
-    // The delta run actually produced deltas; the full run none.
-    size_t full_deltas = 0, delta_deltas = 0;
-    for (const auto &ent : fs::directory_iterator(full_dir.path))
-        if (ent.path().extension() == ".delta")
-            ++full_deltas;
-    for (const auto &ent : fs::directory_iterator(delta_dir.path))
-        if (ent.path().extension() == ".delta")
-            ++delta_deltas;
-    EXPECT_EQ(full_deltas, 0u);
-    EXPECT_GT(delta_deltas, 0u);
-
-    full_cloud.reset();
-    delta_cloud.reset();
-    sim::Cloud full_re(scriptConfig(full_dir.path.string(), {}, 1),
-                       scriptBase());
-    sim::Cloud delta_re(scriptConfig(delta_dir.path.string(), {}, 8),
-                        scriptBase());
-    expectStateEq(captureState(full_re), want, "full/reopen");
-    expectStateEq(captureState(delta_re), want, "delta/reopen");
+    // A snapshot every 8 appends, every 64, or never (the WAL holds
+    // everything) must give identical state, live and reopened.
+    const uint64_t cadences[] = {8, 64, 0};
+    CloudState want =
+        captureState(*driveFaultScript("", {}, nullptr, nullptr));
+    for (uint64_t every : cadences) {
+        const std::string label = "snapshotEvery=" + std::to_string(every);
+        TempDir dir("cadence" + std::to_string(every));
+        auto cloud = driveFaultScript(dir.path.string(), {}, nullptr,
+                                      nullptr, every);
+        expectStateEq(captureState(*cloud), want, label + "/live");
+        // The script's ~60 appends snapshot at a cadence of 8.
+        EXPECT_EQ(cloud->persistence()->chainHeadId() > 0, every == 8)
+            << label;
+        cloud.reset();
+        sim::Cloud reopened(scriptConfig(dir.path.string(), {}, every),
+                            scriptBase());
+        expectStateEq(captureState(reopened), want, label + "/reopen");
+    }
 }
 
 TEST_F(DiskFaultCloudTest, SnapshotGcKeepsOnlyTheRecoveryChain)
 {
-    // With every snapshot full, each commit supersedes the previous
-    // chain entirely: GC must fire, and what survives must still be a
-    // complete recovery chain.
+    // Each snapshot commit supersedes every older snapshot file: GC
+    // must fire, and what survives must still recover the state.
     TempDir dir("gc");
     auto cloud = driveFaultScript(dir.path.string(), {}, nullptr,
-                                  nullptr, /*full_every=*/1);
+                                  nullptr);
     ASSERT_GT(cloud->persistence()->snapshotGcRemoved(), 0u);
     uint64_t head = cloud->persistence()->chainHeadId();
     ASSERT_GT(head, 0u);
     CloudState live = captureState(*cloud);
     cloud.reset();
 
-    // Safety invariant: nothing the recovery chain needs was removed.
+    // Safety invariant: nothing recovery needs was removed.
     size_t chain_files = 0;
     for (const auto &ent : fs::directory_iterator(dir.path)) {
-        auto parsed = parseChainFileName(ent.path().filename().string());
-        if (!parsed.has_value())
+        auto id = parseChainFileName(ent.path().filename().string());
+        if (!id.has_value())
             continue;
         ++chain_files;
-        EXPECT_GE(parsed->first, head); // only the head survives GC
+        EXPECT_GE(*id, head); // only the head survives GC
     }
     EXPECT_EQ(chain_files, 1u);
     ScrubReport report = scrubStateDir(dir.path);
     EXPECT_TRUE(report.ok) << (report.issues.empty()
                                    ? ""
                                    : report.issues[0]);
-    sim::Cloud reopened(scriptConfig(dir.path.string(), {}, 1),
+    sim::Cloud reopened(scriptConfig(dir.path.string(), {}),
                         scriptBase());
     expectStateEq(captureState(reopened), live, "gc/reopen");
 }
@@ -688,15 +672,14 @@ TEST_F(DiskFaultCloudTest, ScrubFlagsCorruptionCleanDirPasses)
 {
     TempDir dir("scrub");
     auto cloud = driveFaultScript(dir.path.string(), {}, nullptr,
-                                  nullptr, /*full_every=*/8);
+                                  nullptr);
     cloud.reset();
     ScrubReport healthy = scrubStateDir(dir.path);
     EXPECT_TRUE(healthy.ok);
     EXPECT_TRUE(healthy.issues.empty());
     EXPECT_GT(healthy.chainFiles, 0u);
-    EXPECT_GT(healthy.chainLength, 0u);
 
-    // Flip one byte inside a chain file's payload: the scrub must
+    // Flip one byte inside a snapshot file's payload: the scrub must
     // turn it into a hard issue, not a note.
     fs::path victim;
     for (const auto &ent : fs::directory_iterator(dir.path))
@@ -910,7 +893,7 @@ TEST_F(DiskFaultCloudTest, MalformedColumnImagesAreRejected)
         header.lastWalSeq = 7;
         writeChainFile(dir.path, header, bad.payload, injector, env);
         ASSERT_TRUE(
-            loadChainFile(dir.path / chainFileName(1, ChainKind::kFull))
+            loadChainFile(dir.path / chainFileName(1))
                 .has_value());
         EXPECT_THROW(recoverDir(dir.path, 8), NazarError);
         ScrubReport report = scrubStateDir(dir.path);
@@ -944,7 +927,7 @@ TEST_F(DiskFaultCloudTest, DecodersSurviveBitFlipsAndTruncations)
     TempDir dir("fuzz");
     {
         auto cloud = driveFaultScript(dir.path.string(), {}, nullptr,
-                                      nullptr, /*full_every=*/2);
+                                      nullptr);
     }
     std::vector<fs::path> targets;
     targets.push_back(dir.path / "wal.log");
@@ -1011,12 +994,8 @@ TEST_F(DiskFaultCloudTest, DecodersSurviveBitFlipsAndTruncations)
         }
         try {
             auto chain = loadChainFile(mutated);
-            if (chain.has_value()) {
-                if (chain->header.kind == ChainKind::kFull)
-                    decodeSnapshot(chain->payload);
-                else
-                    decodeDeltaRecords(chain->payload);
-            }
+            if (chain.has_value())
+                decodeSnapshot(chain->payload);
         } catch (const NazarError &) {
         }
         // And the full recovery pipeline over a dir containing the
@@ -1030,41 +1009,12 @@ TEST_F(DiskFaultCloudTest, DecodersSurviveBitFlipsAndTruncations)
         try {
             (void)recoverDir(mutdir.path, /*dedup_window=*/8);
         } catch (const NazarError &) {
-            // A broken chain link or corrupt record is a legitimate
-            // hard error; crashing is not.
+            // A snapshot that fails to decode is a legitimate hard
+            // error; crashing is not.
         }
         for (const auto &ent : fs::directory_iterator(mutdir.path))
             fs::remove(ent.path());
     }
-}
-
-TEST_F(DiskFaultCloudTest, DeltaRecordCodecRejectsMalformedPayloads)
-{
-    std::vector<WalRecord> records;
-    WalRecord r;
-    r.seq = 5;
-    r.type = WalRecordType::kIngest;
-    r.payload = "payload-a";
-    records.push_back(r);
-    r.seq = 9;
-    r.type = WalRecordType::kFlush;
-    r.payload = "";
-    records.push_back(r);
-    std::string enc = encodeDeltaRecords(records);
-    std::vector<WalRecord> back = decodeDeltaRecords(enc);
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back[0].seq, 5u);
-    EXPECT_EQ(back[0].payload, "payload-a");
-    EXPECT_EQ(back[1].seq, 9u);
-    EXPECT_EQ(back[1].type, WalRecordType::kFlush);
-
-    // Truncation, non-increasing seqs, unknown types: all rejected.
-    std::string torn = enc.substr(0, enc.size() / 2);
-    EXPECT_THROW(decodeDeltaRecords(torn), NazarError);
-    std::vector<WalRecord> bad_seq = records;
-    bad_seq[1].seq = 5;
-    EXPECT_THROW(decodeDeltaRecords(encodeDeltaRecords(bad_seq)),
-                 NazarError);
 }
 
 } // namespace

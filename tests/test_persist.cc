@@ -539,11 +539,10 @@ TEST(SnapshotTest, FileRoundTripAndCorruptionFallback)
     Env env;
     SnapshotData data = sampleSnapshot();
     ChainHeader header;
-    header.kind = ChainKind::kFull;
     header.id = 1;
     header.lastWalSeq = data.lastWalSeq;
     writeChainFile(dir.path, header, encodeSnapshot(data), injector, env);
-    fs::path final = dir.path / chainFileName(1, ChainKind::kFull);
+    fs::path final = dir.path / chainFileName(1);
     EXPECT_FALSE(fs::exists(final.string() + ".tmp")); // renamed
     auto loaded = loadChainFile(final);
     ASSERT_TRUE(loaded.has_value());
@@ -1010,7 +1009,6 @@ TEST_F(PersistCloudTest, RecoveredImageStateMatchesCsvOracle)
     TempDir dir("image_oracle");
     sim::CloudConfig config = scriptConfig(dir.path.string(), 0);
     config.persist.snapshotEvery = 0; // only the explicit checkpoint
-    config.persist.fullEvery = 1;
     driftlog::Table oracle(driftlog::DriftLog().table().schema());
     size_t uploads = 0;
     {
@@ -1121,6 +1119,98 @@ TEST_F(PersistCloudTest, PreChainSnapshotBinIsRefusedAndKept)
                      std::istreambuf_iterator<char>());
     EXPECT_EQ(kept, snap);
     EXPECT_EQ(fs::file_size(dir.path / "wal.log"), sizeof(Wal::kMagic));
+}
+
+
+/**
+ * A delta snapshot in the layout that chained deltas onto a full
+ * snapshot: the "NZCHN1\0\0" header with kind 2 and a (baseId,
+ * baseCrc) link, around the archived WAL records.
+ */
+std::string
+deltaSnapshotFile(uint64_t id, uint64_t base_id, uint32_t base_crc,
+                  const std::vector<WalRecord> &records)
+{
+    Writer payload;
+    payload.putU32(static_cast<uint32_t>(records.size()));
+    for (const WalRecord &rec : records) {
+        payload.putU8(static_cast<uint8_t>(rec.type));
+        payload.putU64(rec.seq);
+        payload.putString(rec.payload);
+    }
+    const std::string &body = payload.bytes();
+    Writer file;
+    const char magic[8] = {'N', 'Z', 'C', 'H', 'N', '1', 0, 0};
+    file.putBytes(magic, sizeof(magic));
+    file.putU8(2); // delta
+    file.putU64(id);
+    file.putU64(base_id);
+    file.putU32(base_crc);
+    file.putU64(records.empty() ? 0 : records.back().seq);
+    file.putU64(body.size());
+    file.putU32(crc32(body.data(), body.size()));
+    file.putBytes(body.data(), body.size());
+    return file.take();
+}
+
+TEST_F(PersistCloudTest, DeltaSnapshotIsRefusedAndKept)
+{
+    // A directory a delta-writing build left behind: a full snapshot,
+    // then a delta archiving the WAL records after it, then the WAL
+    // truncated. Recovering from the full snapshot and the WAL alone
+    // would silently drop the archived rows, so recovery must refuse
+    // and leave every file as it is. Any snap-*.delta counts, even
+    // one that does not parse.
+    TempDir dir("delta");
+    sim::CloudConfig config = scriptConfig(dir.path.string(), 0);
+    config.persist.snapshotEvery = 0; // only the explicit checkpoint
+    {
+        sim::Cloud cloud(config, scriptBase());
+        for (int i = 0; i < 10; ++i)
+            cloud.ingestFrom(i % 3, static_cast<uint64_t>(i),
+                             scriptEntry(i), scriptUpload(i));
+        cloud.checkpoint();
+        for (int i = 10; i < 15; ++i)
+            cloud.ingestFrom(i % 3, static_cast<uint64_t>(i),
+                             scriptEntry(i), scriptUpload(i));
+    }
+    const fs::path full = dir.path / chainFileName(1);
+    auto base = loadChainFile(full);
+    ASSERT_TRUE(base.has_value());
+    WalScan scan = Wal::scan(dir.path / "wal.log");
+    ASSERT_EQ(scan.records.size(), 5u);
+    fs::resize_file(dir.path / "wal.log", sizeof(Wal::kMagic));
+
+    const std::pair<std::string, std::string> deltas[] = {
+        {"snap-000002.delta",
+         deltaSnapshotFile(2, 1, base->header.payloadCrc, scan.records)},
+        {"snap-000009.delta", "not a snapshot"},
+    };
+    auto slurp = [](const fs::path &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string full_bytes = slurp(full);
+    for (const auto &[name, bytes] : deltas) {
+        SCOPED_TRACE(name);
+        const fs::path delta = dir.path / name;
+        std::ofstream(delta, std::ios::binary) << bytes;
+
+        EXPECT_THROW(recoverDir(dir.path, /*dedup_window=*/8),
+                     NazarError);
+        EXPECT_THROW(sim::Cloud(config, scriptBase()), NazarError);
+        ScrubReport scrub = scrubStateDir(dir.path);
+        EXPECT_FALSE(scrub.ok);
+
+        EXPECT_EQ(slurp(delta), bytes);
+        EXPECT_EQ(slurp(full), full_bytes);
+        EXPECT_EQ(fs::file_size(dir.path / "wal.log"),
+                  sizeof(Wal::kMagic));
+        fs::remove(delta);
+    }
+    // Without the delta the directory is an ordinary one again.
+    EXPECT_EQ(recoverDir(dir.path, 8).totalIngested, 10u);
 }
 
 } // namespace

@@ -131,14 +131,14 @@ TEST_F(ServerTest, GroupCommitRecoversTheSameStateAsPerRecord)
     // Same single-client stream into two persisted clouds, one group
     // committed and one flushed per record: a fresh cloud recovered
     // from either directory must be identical.
-    auto runOne = [](const std::string &dir, bool group) {
+    auto runOne = [](const std::string &dir, size_t max_batch) {
         nn::Classifier base = tinyBase();
         sim::CloudConfig config;
         config.persist.dir = dir;
         config.persist.snapshotEvery = 64;
         sim::Cloud cloud(config, base);
         ServerConfig sc;
-        sc.groupCommit = group;
+        sc.maxBatch = max_batch;
         IngestServer server(cloud, sc);
         server.start();
         LoadConfig load;
@@ -151,8 +151,8 @@ TEST_F(ServerTest, GroupCommitRecoversTheSameStateAsPerRecord)
     };
     TempDir group_dir("group");
     TempDir record_dir("record");
-    runOne(group_dir.path.string(), true);
-    runOne(record_dir.path.string(), false);
+    runOne(group_dir.path.string(), ServerConfig{}.maxBatch);
+    runOne(record_dir.path.string(), 1);
 
     auto recover = [](const std::string &dir) {
         nn::Classifier base = tinyBase();
@@ -422,7 +422,7 @@ TEST_F(ServerTest, CrashRestartSweepMatchesUncrashedOracleExactly)
     {
         sim::Cloud cloud(sim::CloudConfig{}, base);
         ServerConfig sc;
-        sc.groupCommit = false;
+        sc.maxBatch = 1;
         IngestServer server(cloud, sc);
         server.start();
         oracle = runLoad(makeLoad(server.port()));
@@ -451,7 +451,7 @@ TEST_F(ServerTest, CrashRestartSweepMatchesUncrashedOracleExactly)
         auto cloud =
             std::make_unique<sim::Cloud>(cloudConfig(k), base);
         ServerConfig sc;
-        sc.groupCommit = false;
+        sc.maxBatch = 1;
         auto server = std::make_unique<IngestServer>(*cloud, sc);
         server->start();
         const uint16_t port = server->port();
@@ -478,7 +478,7 @@ TEST_F(ServerTest, CrashRestartSweepMatchesUncrashedOracleExactly)
                 cloud = std::make_unique<sim::Cloud>(cloudConfig(0),
                                                      base);
                 ServerConfig rc;
-                rc.groupCommit = false;
+                rc.maxBatch = 1;
                 rc.port = port; // clients reconnect to the same port
                 server = std::make_unique<IngestServer>(*cloud, rc);
                 server->start();

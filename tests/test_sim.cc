@@ -569,8 +569,8 @@ TEST_F(RunnerTest, PersistenceOnMatchesPersistenceOff)
     }
     EXPECT_EQ(on.cloudCrashes, 0u);
     // The final checkpoint leaves a loadable state directory with an
-    // empty (truncated) WAL. Snapshots live in the chain format now
-    // (snap-NNNNNN.full / .delta), not the legacy snapshot.bin.
+    // empty (truncated) WAL. Snapshots live in snap-NNNNNN.full
+    // files, not the legacy snapshot.bin.
     bool has_chain_file = false;
     for (const auto &entry :
          std::filesystem::directory_iterator(dir.path)) {

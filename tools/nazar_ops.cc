@@ -47,18 +47,18 @@
  *
  *   nazar_ops recover <state-dir>
  *       Run standalone recovery over a cloud state directory
- *       (snapshot chain + wal.log) and print what came back: pending
+ *       (newest snapshot + wal.log) and print what came back: pending
  *       drift-log rows, uploads, registry versions, dedup windows,
  *       counters.
  *
  *   nazar_ops scrub <state-dir>
  *       Offline, read-only integrity walk: WAL record CRCs and seq
- *       monotonicity, every snapshot chain file's header + payload
- *       CRC, each delta's link to its base, and that the recovery
- *       chain decodes. Prints `SCRUB ok` (exit 0) or `SCRUB CORRUPT`
- *       (exit 1) plus the issues found; benign observations (torn
- *       tail, stale superseded files awaiting GC) are notes, not
- *       failures.
+ *       monotonicity, every snapshot file's header + payload CRC,
+ *       that the newest snapshot decodes, and that no file recovery
+ *       refuses (snapshot.bin, snap-<id>.delta) is present. Prints
+ *       `SCRUB ok` (exit 0) or `SCRUB CORRUPT` (exit 1) plus the
+ *       issues found; benign observations (torn tail, stale
+ *       superseded files awaiting GC) are notes, not failures.
  *
  *   nazar_ops trace <trace.json>
  *       Summarize a Chrome trace_event file written by --trace-out
@@ -485,10 +485,10 @@ cmdScrub(const std::string &dir)
     summary.addRow({"wal records", TablePrinter::num(report.walRecords)});
     summary.addRow(
         {"wal torn bytes", TablePrinter::num(report.walTornBytes)});
-    summary.addRow({"chain files", TablePrinter::num(report.chainFiles)});
     summary.addRow(
-        {"chain length", TablePrinter::num(report.chainLength)});
-    summary.addRow({"chain bytes", TablePrinter::num(report.chainBytes)});
+        {"snapshot files", TablePrinter::num(report.chainFiles)});
+    summary.addRow(
+        {"snapshot bytes", TablePrinter::num(report.chainBytes)});
     std::printf("%s: integrity walk\n%s\n", dir.c_str(),
                 summary.toString().c_str());
     for (const auto &note : report.notes)

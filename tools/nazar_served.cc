@@ -35,7 +35,7 @@
  *
  * Durability flags mirror nazar_ops sim: --persist-dir= puts a WAL
  * and snapshots under the dir, --fsync= picks the sync mode, and
- * --group-commit=0 forces per-record flushing for comparison runs.
+ * --max-batch=1 forces per-record flushing for comparison runs.
  */
 #include <sys/wait.h>
 #include <unistd.h>
@@ -83,7 +83,7 @@ usage()
         "  nazar_served serve [--port=N] [--port-file=<path>] "
         "[--persist-dir=<dir> --snapshot-every=N "
         "--fsync=flush|fdatasync|fsync] "
-        "[--group-commit=0|1 --max-batch=N --max-queue=N "
+        "[--max-batch=N --max-queue=N "
         "--read-timeout-ms=N]\n"
         "  nazar_served load --port=N [--clients=N --events=N "
         "--drop=P --dup=P --fault-seed=S --reconnect=0|1]\n"
@@ -177,9 +177,9 @@ cmdServe(const ServeOptions &opts)
 
     server::IngestServer server(cloud, opts.server);
     server.start();
-    std::printf("SERVED listening port=%u groupCommit=%d\n",
+    std::printf("SERVED listening port=%u maxBatch=%zu\n",
                 static_cast<unsigned>(server.port()),
-                opts.server.groupCommit ? 1 : 0);
+                opts.server.maxBatch);
     std::fflush(stdout);
     if (!opts.portFile.empty()) {
         // Write-then-rename so a polling driver never reads a
@@ -467,9 +467,8 @@ main(int argc, char **argv)
         // Serve-side flags a supervise parent forwards verbatim to
         // its forked serve children.
         const char *const kServeFlags[] = {
-            "--persist-dir=",  "--snapshot-every=", "--fsync=",
-            "--group-commit=", "--max-batch=",      "--max-queue=",
-            "--read-timeout-ms="};
+            "--persist-dir=", "--snapshot-every=", "--fsync=",
+            "--max-batch=",   "--max-queue=",      "--read-timeout-ms="};
         for (int i = 2; i < argc; ++i) {
             std::string arg = argv[i];
             for (const char *flag : kServeFlags) {
@@ -487,9 +486,6 @@ main(int argc, char **argv)
                 serve.server.port = serve.port;
             } else if (arg.rfind("--port-file=", 0) == 0)
                 serve.portFile = arg.substr(12);
-            else if (arg.rfind("--group-commit=", 0) == 0)
-                serve.server.groupCommit =
-                    std::stoi(arg.substr(15)) != 0;
             else if (arg.rfind("--max-batch=", 0) == 0)
                 serve.server.maxBatch = std::stoul(arg.substr(12));
             else if (arg.rfind("--max-queue=", 0) == 0)
