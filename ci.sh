@@ -135,6 +135,30 @@ if [ "$DO_RELEASE" = 1 ]; then
         > build-ci/crash_scrub.out
     grep -q "SCRUB ok" build-ci/crash_scrub.out || {
         echo "crash smoke: scrub found integrity issues" >&2; exit 1; }
+    # A copy whose newest snapshot has one flipped byte must be refused
+    # by recovery (the WAL no longer holds what that snapshot held) and
+    # flagged by the scrubber.
+    rm -rf build-ci/crash_state_flipped
+    cp -r build-ci/crash_state build-ci/crash_state_flipped
+    newest="$(ls build-ci/crash_state_flipped/snap-*.full | sort | tail -n 1)"
+    python3 - "$newest" <<'EOF'
+import sys
+
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+data[-1] ^= 0x01
+open(path, "wb").write(data)
+EOF
+    if ./build-ci/tools/nazar_ops recover build-ci/crash_state_flipped \
+        > /dev/null 2>&1; then
+        echo "crash smoke: recovery accepted a corrupt newest snapshot" >&2
+        exit 1
+    fi
+    ./build-ci/tools/nazar_ops scrub build-ci/crash_state_flipped \
+        > build-ci/crash_flipped_scrub.out || true
+    grep -q "ISSUE" build-ci/crash_flipped_scrub.out || {
+        echo "crash smoke: scrub missed a corrupt newest snapshot" >&2
+        exit 1; }
     ./build-ci/bench/bench_crash_recovery --quick > /dev/null
     # Disk-fault smoke: a sim with an injected mid-run ENOSPC on the
     # WAL write path must latch the fsync gate (not crash), rebuild

@@ -97,15 +97,27 @@ getAttributeSetInterned(Reader &r, StringDict &dict)
 std::string
 encodeFrame(MsgType type, const std::string &payload)
 {
-    Writer body;
-    body.putU8(static_cast<uint8_t>(type));
-    body.putBytes(payload.data(), payload.size());
+    std::string out;
+    appendFrame(out, type, payload);
+    return out;
+}
 
-    Writer frame;
-    frame.putU32(static_cast<uint32_t>(body.size()));
-    frame.putU32(persist::crc32(body.bytes().data(), body.size()));
-    frame.putBytes(body.bytes().data(), body.size());
-    return frame.take();
+void
+appendFrame(std::string &out, MsgType type, const std::string &payload)
+{
+    // Layout: [u32 bodyLen][u32 crc32(body)][body = u8 type, payload].
+    const char tag = static_cast<char>(type);
+    const uint32_t crc = persist::crc32Update(
+        persist::crc32(&tag, 1), payload.data(), payload.size());
+    const uint32_t len = static_cast<uint32_t>(payload.size() + 1);
+    char head[9];
+    for (int i = 0; i < 4; ++i) {
+        head[i] = static_cast<char>(len >> (8 * i));
+        head[4 + i] = static_cast<char>(crc >> (8 * i));
+    }
+    head[8] = tag;
+    out.append(head, sizeof(head));
+    out.append(payload);
 }
 
 void

@@ -108,6 +108,11 @@ struct Frame
 /** Serialize one frame (header + CRC + body). */
 std::string encodeFrame(MsgType type, const std::string &payload);
 
+/** Append the bytes encodeFrame returns to @p out (several frames can
+ *  share one buffer and go out in one send). */
+void appendFrame(std::string &out, MsgType type,
+                 const std::string &payload);
+
 /**
  * Incremental frame decoder over an arbitrary chunking of the byte
  * stream. feed() appends bytes; next() yields complete frames and

@@ -154,13 +154,15 @@ isDeltaFileName(const std::string &name)
 }
 
 /**
- * Load the newest valid snapshot into @p st and return its id (0 when
- * there is none). Refuses (NazarError), touching nothing, a directory
+ * Load the newest snapshot into @p st and return its id (0 when there
+ * is none). Refuses (NazarError), touching nothing, a directory
  * holding a file whose state is nowhere else: a pre-chain
  * snapshot.bin (its drift log is CSV, a payload this build cannot
- * read) or a delta snapshot (it archived WAL records that were then
- * truncated from the WAL). Recovering without either would silently
- * drop that state.
+ * read), a delta snapshot (it archived WAL records that were then
+ * truncated from the WAL), or a newest snapshot file that fails its
+ * header or CRC check (the WAL was truncated when it committed, and
+ * no crash leaves a committed file torn). Recovering without any of
+ * them would silently drop that state.
  */
 uint64_t
 loadSnapshotChain(RecoveredState &st, const fs::path &dir)
@@ -183,19 +185,43 @@ loadSnapshotChain(RecoveredState &st, const fs::path &dir)
         if (auto id = parseChainFileName(name))
             paths.emplace(*id, entry.path());
     }
-    for (auto it = paths.rbegin(); it != paths.rend(); ++it) {
-        auto head = loadChainFile(it->second);
-        // Torn or corrupt, or a header that disagrees with the
-        // filename: treated as absent.
-        if (!head.has_value() || head->header.id != it->first)
-            continue;
-        applySnapshot(st, decodeSnapshot(head->payload));
-        if (head->header.lastWalSeq > st.lastWalSeq)
-            st.lastWalSeq = head->header.lastWalSeq;
-        st.snapshotLoaded = true;
-        return it->first;
-    }
-    return 0;
+    if (paths.empty())
+        return 0;
+    const auto &[id, path] = *paths.rbegin();
+    auto head = loadChainFile(path);
+    NAZAR_CHECK(head.has_value() && head->header.id == id,
+                "recover: " + path.string() +
+                    " is the newest snapshot but fails its header or "
+                    "CRC check; the WAL records it holds were truncated "
+                    "when it committed, so refusing to recover without "
+                    "it");
+    applySnapshot(st, decodeSnapshot(head->payload));
+    if (head->header.lastWalSeq > st.lastWalSeq)
+        st.lastWalSeq = head->header.lastWalSeq;
+    st.snapshotLoaded = true;
+    return id;
+}
+
+/**
+ * Refuse (NazarError) a WAL whose first record lies above the loaded
+ * snapshot's cut: seqs keep counting across truncation, so a gap
+ * means the snapshot that held the records in between is missing.
+ */
+void
+checkWalContinues(const RecoveredState &st,
+                  const std::vector<WalRecord> &records,
+                  const fs::path &wal_path)
+{
+    if (records.empty() || records.front().seq <= st.lastWalSeq + 1)
+        return;
+    throw NazarError(
+        "recover: " + wal_path.string() + " starts at seq " +
+        std::to_string(records.front().seq) + " but " +
+        (st.snapshotLoaded ? "the newest snapshot ends at seq " +
+                                 std::to_string(st.lastWalSeq)
+                           : std::string("there is no snapshot")) +
+        "; the records in between are in no file, so refusing to "
+        "recover");
 }
 
 } // namespace
@@ -209,6 +235,7 @@ recoverDir(const fs::path &dir, size_t dedup_window)
     NAZAR_CHECK(!scan.unreadable,
                 "recover: " + (dir / "wal.log").string() +
                     " exists but cannot be read");
+    checkWalContinues(st, scan.records, dir / "wal.log");
     st.truncatedBytes = scan.truncatedBytes;
     for (const auto &rec : scan.records) {
         if (rec.seq <= st.lastWalSeq)
@@ -238,6 +265,12 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
             .counter("persist.recover.snapshot_loads")
             .add(1);
 
+    // Opening the WAL changes at most its torn tail, which no one
+    // was acknowledged for.
+    wal_ = std::make_unique<Wal>(dir / "wal.log", &injector_,
+                                 config_.sync, &env_);
+    checkWalContinues(recovered_, wal_->records(), wal_->path());
+
     // A crash during a tmp phase leaves orphans (snapshot.tmp or
     // snap-*.tmp); they were never committed, so discard them.
     std::error_code ec;
@@ -249,8 +282,6 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
     for (const auto &orphan : orphans)
         fs::remove(orphan, ec);
 
-    wal_ = std::make_unique<Wal>(dir / "wal.log", &injector_,
-                                 config_.sync, &env_);
     wal_->bumpSeqPast(recovered_.lastWalSeq);
     recovered_.truncatedBytes = wal_->truncatedBytes();
     for (const auto &rec : wal_->records()) {
@@ -298,7 +329,7 @@ CloudPersistence::encodeIngest(int64_t device, uint64_t seq,
         putAttributeSet(w, *context);
         w.putBool(drift_flag);
     }
-    return w.bytes();
+    return w.take();
 }
 
 void
@@ -318,9 +349,15 @@ CloudPersistence::logIngestBatch(const std::vector<std::string> &payloads)
 {
     if (payloads.empty())
         return;
-    for (const auto &payload : payloads)
-        wal_->appendBuffered(WalRecordType::kIngest, payload);
-    wal_->sync();
+    {
+        NAZAR_SPAN("persist.wal.append");
+        for (const auto &payload : payloads)
+            wal_->appendBuffered(WalRecordType::kIngest, payload);
+    }
+    {
+        NAZAR_SPAN("persist.wal.fsync");
+        wal_->sync();
+    }
     appendsSince_ += payloads.size();
     obs::Registry::global()
         .counter("persist.wal.group_commits")
@@ -379,8 +416,8 @@ CloudPersistence::writeSnapshot(SnapshotData &data)
     ChainHeader header;
     header.id = chainHeadId_ + 1;
     header.lastWalSeq = data.lastWalSeq;
-    writeChainFile(fs::path(config_.dir), header, encodeSnapshot(data),
-                   injector_, env_);
+    writeSnapshotFile(fs::path(config_.dir), header, data, snapshotBuf_,
+                      injector_, env_);
     chainHeadId_ = header.id;
     wal_->truncateAll();
     appendsSince_ = 0;
@@ -428,6 +465,7 @@ scrubStateDir(const fs::path &dir)
 
     // --- WAL: header, per-record CRC + seq monotonicity -------------
     fs::path wal_path = dir / "wal.log";
+    uint64_t wal_first_seq = 0; // 0 = no records
     if (fs::exists(wal_path, ec)) {
         WalScan scan = Wal::scan(wal_path);
         if (scan.unreadable) {
@@ -439,6 +477,8 @@ scrubStateDir(const fs::path &dir)
         } else {
             report.walRecords = scan.records.size();
             report.walTornBytes = scan.truncatedBytes;
+            if (!scan.records.empty())
+                wal_first_seq = scan.records.front().seq;
             if (scan.truncatedBytes > 0)
                 report.notes.push_back(
                     "wal.log has a torn tail of " +
@@ -451,6 +491,7 @@ scrubStateDir(const fs::path &dir)
 
     // --- snapshot files: magic, CRC, filename/header agreement -----
     std::optional<ChainFile> head; // the newest valid one
+    uint64_t newest_id = 0;        // the newest one, valid or not
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         std::string name = entry.path().filename().string();
         if (isDeltaFileName(name)) {
@@ -464,6 +505,7 @@ scrubStateDir(const fs::path &dir)
         auto id = parseChainFileName(name);
         if (!id.has_value())
             continue;
+        newest_id = std::max(newest_id, *id);
         auto loaded = loadChainFile(entry.path());
         if (!loaded.has_value()) {
             report.ok = false;
@@ -508,6 +550,26 @@ scrubStateDir(const fs::path &dir)
                     " WAL record(s) already inside the snapshot "
                     "(crash before truncation; replay skips them)");
         }
+    }
+
+    // --- what recovery refuses: a newest snapshot that does not
+    // load, or a WAL starting above the loaded snapshot's cut ---------
+    if (newest_id > 0 &&
+        (!head.has_value() || head->header.id != newest_id)) {
+        report.ok = false;
+        report.issues.push_back("newest snapshot " +
+                                chainFileName(newest_id) +
+                                " is corrupt: recovery refuses this "
+                                "directory");
+    }
+    const uint64_t cut = head.has_value() ? head->header.lastWalSeq : 0;
+    if (wal_first_seq > cut + 1) {
+        report.ok = false;
+        report.issues.push_back(
+            "wal.log starts at seq " + std::to_string(wal_first_seq) +
+            " above the snapshot cut " + std::to_string(cut) +
+            ": the records in between are missing; recovery refuses "
+            "this directory");
     }
 
     // --- pre-chain snapshot.bin: recovery refuses the directory ---

@@ -244,6 +244,9 @@ class CloudPersistence
     uint64_t appendsSince_ = 0;
     uint64_t chainHeadId_ = 0;
     uint64_t snapshotGcRemoved_ = 0;
+    /** Every snapshot file is encoded into this one buffer (see
+     *  writeSnapshotFile); it grows on first use, never up front. */
+    Writer snapshotBuf_;
 };
 
 } // namespace nazar::persist

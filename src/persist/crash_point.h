@@ -26,7 +26,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace nazar::persist {
 
@@ -69,14 +68,16 @@ class CrashInjector
      * Register one site hit. Returns true when this hit is the armed
      * one — the caller then performs its site-specific partial write
      * and throws CrashInjected (or calls check(), which throws
-     * directly for sites with no partial-write behaviour).
+     * directly for sites with no partial-write behaviour). Only the
+     * count is kept: the site name travels in the caller's
+     * CrashInjected, and a per-hit record would grow for as long as
+     * the process runs.
      */
     bool
-    fires(const char *site)
+    fires(const char * /*site*/)
     {
         std::lock_guard<std::mutex> lk(mu_);
         ++hits_;
-        sites_.emplace_back(site);
         return armed_ != 0 && hits_ == armed_;
     }
 
@@ -94,14 +95,6 @@ class CrashInjector
     {
         std::lock_guard<std::mutex> lk(mu_);
         return hits_;
-    }
-
-    /** The sequence of sites hit, in order. */
-    std::vector<std::string>
-    siteLog() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return sites_;
     }
 
     /**
@@ -123,7 +116,6 @@ class CrashInjector
     mutable std::mutex mu_;
     uint64_t hits_ = 0;
     uint64_t armed_ = 0;
-    std::vector<std::string> sites_;
 };
 
 } // namespace nazar::persist

@@ -56,6 +56,17 @@ appendLe(std::string &buf, T v)
     buf.append(bytes, sizeof(T));
 }
 
+/** Overwrite the little-endian bytes of @p v at @p at. */
+template <typename T>
+void
+storeLe(std::string &buf, size_t at, T v)
+{
+    NAZAR_CHECK(at <= buf.size() && buf.size() - at >= sizeof(T),
+                "persist: patch past the end of the buffer");
+    for (size_t i = 0; i < sizeof(T); ++i)
+        buf[at + i] = static_cast<char>(v >> (8 * i));
+}
+
 } // namespace
 
 uint32_t
@@ -93,6 +104,18 @@ void
 Writer::putU64(uint64_t v)
 {
     appendLe(buf_, v);
+}
+
+void
+Writer::putU32At(size_t at, uint32_t v)
+{
+    storeLe(buf_, at, v);
+}
+
+void
+Writer::putU64At(size_t at, uint64_t v)
+{
+    storeLe(buf_, at, v);
 }
 
 void

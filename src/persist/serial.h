@@ -54,6 +54,15 @@ class Writer
     /** u64 length prefix + raw bytes. */
     void putString(const std::string &s);
 
+    /** Overwrite 4/8 bytes at @p at (within size()) with @p v, for a
+     *  field known only after what follows it has been written. */
+    void putU32At(size_t at, uint32_t v);
+    void putU64At(size_t at, uint64_t v);
+
+    /** Drop the contents but keep the capacity, so a buffer reused for
+     *  one large record after another stops reallocating. */
+    void clear() { buf_.clear(); }
+
     const std::string &bytes() const { return buf_; }
     std::string take() { return std::move(buf_); }
     size_t size() const { return buf_.size(); }

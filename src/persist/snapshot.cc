@@ -78,12 +78,47 @@ writeFileAtomic(const fs::path &tmp, const fs::path &final,
     injector.check("snapshot.rename.post");
 }
 
+/** Byte offsets of the header fields known only after the payload. */
+constexpr size_t kPayloadLenAt = sizeof(kChainMagic) + 1 + 8 + 8 + 4 + 8;
+constexpr size_t kPayloadCrcAt = kPayloadLenAt + 8;
+constexpr size_t kChainHeaderSize = kPayloadCrcAt + 4;
+
+/** Append the file header; payloadLen and payloadCrc are filled in by
+ *  commitChainFile once the payload follows. */
+void
+putChainHeader(Writer &w, const ChainHeader &header)
+{
+    w.putBytes(kChainMagic, sizeof(kChainMagic));
+    w.putU8(kFullKind);
+    w.putU64(header.id);
+    w.putU64(0); // baseId
+    w.putU32(0); // baseCrc
+    w.putU64(header.lastWalSeq);
+    w.putU64(0); // payloadLen
+    w.putU32(0); // payloadCrc
+}
+
+/** Seal @p file (a header from putChainHeader, then the payload) and
+ *  write it as snapshot @p id. */
+void
+commitChainFile(const fs::path &dir, uint64_t id, Writer &file,
+                CrashInjector &injector, Env &env)
+{
+    const std::string &bytes = file.bytes();
+    const size_t payload_len = bytes.size() - kChainHeaderSize;
+    file.putU64At(kPayloadLenAt, payload_len);
+    file.putU32At(kPayloadCrcAt,
+                  crc32(bytes.data() + kChainHeaderSize, payload_len));
+    std::string name = chainFileName(id);
+    writeFileAtomic(dir / (name + ".tmp"), dir / name, bytes, injector,
+                    env);
+}
+
 } // namespace
 
-std::string
-encodeSnapshot(const SnapshotData &data)
+void
+encodeSnapshot(Writer &w, const SnapshotData &data)
 {
-    Writer w;
     w.putU64(kSnapshotFormatTag);
     w.putU64(data.lastWalSeq);
     w.putI64(data.logicalTime);
@@ -112,6 +147,13 @@ encodeSnapshot(const SnapshotData &data)
         w.putString(*data.cleanPatchText);
         w.putI64(data.cleanPatchTime);
     }
+}
+
+std::string
+encodeSnapshot(const SnapshotData &data)
+{
+    Writer w;
+    encodeSnapshot(w, data);
     return w.take();
 }
 
@@ -193,40 +235,37 @@ parseChainFileName(const std::string &name)
 }
 
 void
-writeChainFile(const fs::path &dir, ChainHeader header,
+writeChainFile(const fs::path &dir, const ChainHeader &header,
                const std::string &payload, CrashInjector &injector,
                Env &env)
 {
-    header.payloadCrc = crc32(payload.data(), payload.size());
-
     Writer w;
-    w.putBytes(kChainMagic, sizeof(kChainMagic));
-    w.putU8(kFullKind);
-    w.putU64(header.id);
-    w.putU64(0); // baseId
-    w.putU32(0); // baseCrc
-    w.putU64(header.lastWalSeq);
-    w.putU64(payload.size());
-    w.putU32(header.payloadCrc);
+    putChainHeader(w, header);
     w.putBytes(payload.data(), payload.size());
+    commitChainFile(dir, header.id, w, injector, env);
+}
 
-    std::string name = chainFileName(header.id);
-    writeFileAtomic(dir / (name + ".tmp"), dir / name, w.bytes(),
-                    injector, env);
+void
+writeSnapshotFile(const fs::path &dir, const ChainHeader &header,
+                  const SnapshotData &data, Writer &buf,
+                  CrashInjector &injector, Env &env)
+{
+    buf.clear();
+    putChainHeader(buf, header);
+    encodeSnapshot(buf, data);
+    commitChainFile(dir, header.id, buf, injector, env);
 }
 
 std::optional<ChainFile>
 loadChainFile(const fs::path &path)
 {
     std::string bytes = slurpFile(path);
-    constexpr size_t kHeaderSize = sizeof(kChainMagic) + 1 + 8 + 8 + 4 +
-                                   8 + 8 + 4;
-    if (bytes.size() < kHeaderSize ||
+    if (bytes.size() < kChainHeaderSize ||
         std::memcmp(bytes.data(), kChainMagic, sizeof(kChainMagic)) != 0)
         return std::nullopt;
     try {
         Reader r(bytes.data() + sizeof(kChainMagic),
-                 kHeaderSize - sizeof(kChainMagic));
+                 kChainHeaderSize - sizeof(kChainMagic));
         ChainFile out;
         if (r.getU8() != kFullKind)
             return std::nullopt;
@@ -236,12 +275,12 @@ loadChainFile(const fs::path &path)
         out.header.lastWalSeq = r.getU64();
         uint64_t len = r.getU64();
         out.header.payloadCrc = r.getU32();
-        if (bytes.size() - kHeaderSize != len)
+        if (bytes.size() - kChainHeaderSize != len)
             return std::nullopt; // torn or trailing garbage
-        if (crc32(bytes.data() + kHeaderSize,
+        if (crc32(bytes.data() + kChainHeaderSize,
                   static_cast<size_t>(len)) != out.header.payloadCrc)
             return std::nullopt;
-        out.payload = bytes.substr(kHeaderSize);
+        out.payload = bytes.substr(kChainHeaderSize);
         return out;
     } catch (const NazarError &) {
         return std::nullopt;

@@ -14,8 +14,9 @@
  * Every snapshot file is written to "<name>.tmp" first and renamed
  * onto its final name only when complete (crash sites
  * "snapshot.tmp.partial", "snapshot.tmp.done", "snapshot.rename.post"
- * cover the three distinct failure windows). A corrupt or torn
- * snapshot file is treated as absent.
+ * cover the three distinct failure windows), so a committed file is
+ * never torn by a crash. A newest snapshot file that fails its checks
+ * is therefore damage, not a crash leftover: recovery refuses it.
  */
 #ifndef NAZAR_PERSIST_SNAPSHOT_H
 #define NAZAR_PERSIST_SNAPSHOT_H
@@ -75,11 +76,14 @@ struct SnapshotData
 };
 
 /**
- * Encode the payload bytes (no header/CRC — the file writer adds it).
- * The payload opens with the 8-byte format tag kSnapshotFormatTag
- * ("NZIMG1\0\0"), then the counters, the drift log's column image,
- * and the rest of the state in SnapshotData order.
+ * Append the payload bytes (no header/CRC — the file writer adds it)
+ * to @p w. The payload opens with the 8-byte format tag
+ * kSnapshotFormatTag ("NZIMG1\0\0"), then the counters, the drift
+ * log's column image, and the rest of the state in SnapshotData order.
  */
+void encodeSnapshot(Writer &w, const SnapshotData &data);
+
+/** The same payload as a string (tests, writeChainFile callers). */
 std::string encodeSnapshot(const SnapshotData &data);
 
 /**
@@ -137,15 +141,30 @@ std::optional<uint64_t> parseChainFileName(const std::string &name);
  * Write one snapshot file into @p dir: tmp file, fsync, rename,
  * directory fsync (a file committed by rename alone can be empty
  * after power loss). All I/O goes through @p env ("env.snap.*"
- * sites). @p header.payloadCrc is computed here.
+ * sites). The payload CRC is computed here (@p header.payloadCrc is
+ * ignored).
  */
-void writeChainFile(const std::filesystem::path &dir, ChainHeader header,
+void writeChainFile(const std::filesystem::path &dir,
+                    const ChainHeader &header,
                     const std::string &payload, CrashInjector &injector,
                     Env &env);
 
 /**
+ * Write the snapshot file of @p data exactly as
+ * writeChainFile(dir, header, encodeSnapshot(data), ...) does, but
+ * encode header and payload in place into @p buf: its contents are
+ * replaced, its capacity kept. A caller that passes the same buffer
+ * for every snapshot pays for no separate payload string, no copy of
+ * it, and no fresh pages once the buffer has grown.
+ */
+void writeSnapshotFile(const std::filesystem::path &dir,
+                       const ChainHeader &header, const SnapshotData &data,
+                       Writer &buf, CrashInjector &injector, Env &env);
+
+/**
  * Load one snapshot file. Returns nullopt when absent, torn, or
- * failing its checksum — the caller treats the file as missing.
+ * failing its checksum. Recovery refuses a directory whose newest
+ * snapshot file does not load (see recoverDir).
  */
 std::optional<ChainFile>
 loadChainFile(const std::filesystem::path &path);

@@ -478,7 +478,6 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
     static obs::SpanSite queueWaitSite("server.queue_wait");
     static obs::SpanSite encodeSite("server.encode");
     static obs::SpanSite walSyncSite("persist.wal.sync");
-    static obs::SpanSite ackSite("server.ack");
 
     if (diskFaulted()) {
         // Degraded mode: nothing is durable, so nothing is acked —
@@ -504,7 +503,7 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         sim::IngestMessage m;
         m.device = static_cast<int>(item.ingest.device);
         m.seq = item.ingest.seq;
-        m.entry = item.ingest.entry;
+        m.entry = std::move(item.ingest.entry);
         m.upload = std::move(item.ingest.upload);
         msgs.push_back(std::move(m));
     }
@@ -516,31 +515,70 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         obs::recordSpan(encodeSite, tDequeue, tEncoded, ctx);
         obs::recordSpan(walSyncSite, tEncoded, tCommitted, ctx);
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-        net::WireAck ack;
-        ack.device = batch[i].ingest.device;
-        ack.seq = batch[i].ingest.seq;
-        ack.accepted = accepted[i];
-        auto t0 = std::chrono::steady_clock::now();
-        {
-            std::lock_guard<std::mutex> wl(batch[i].conn->writeMutex);
-            // A false return means the peer vanished; its loss.
-            batch[i].conn->stream.sendFrame(MsgType::kAck,
-                                            net::encodeAck(ack));
-        }
-        obs::recordSpan(ackSite, t0, std::chrono::steady_clock::now(),
-                        ingestContext(batch[i].ingest));
-    }
+    sendAcks(batch, accepted);
     {
         std::lock_guard<std::mutex> lk(statsMutex_);
         stats_.ingestMessages += batch.size();
-        stats_.acksSent += batch.size();
         ++stats_.batches;
     }
     auto &reg = obs::Registry::global();
     reg.counter("server.ingest").add(batch.size());
-    reg.counter("server.acks").add(batch.size());
     reg.counter("server.batches").add(1);
+}
+
+void
+IngestServer::sendAcks(const std::vector<WorkItem> &batch,
+                       const std::vector<bool> &accepted)
+{
+    static obs::SpanSite ackSite("server.ack");
+    // Gather each connection's frames in queue order, then write each
+    // connection's once: one send per connection instead of one per
+    // record. The spans tile the ack phase: the first connection's
+    // interval also covers the gathering, each later one starts where
+    // the previous write ended.
+    auto tStart = std::chrono::steady_clock::now();
+    const uint64_t batchId = ++ackBatches_;
+    size_t groups = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+        Conn &conn = *batch[i].conn;
+        if (conn.ackBatch != batchId) {
+            conn.ackBatch = batchId;
+            conn.ackGroup = groups++;
+            if (ackGroups_.size() < groups)
+                ackGroups_.emplace_back();
+            ackGroups_[conn.ackGroup].conn = &conn;
+            ackGroups_[conn.ackGroup].frames.clear();
+        }
+        net::WireAck ack;
+        ack.device = batch[i].ingest.device;
+        ack.seq = batch[i].ingest.seq;
+        ack.accepted = accepted[i];
+        net::appendFrame(ackGroups_[conn.ackGroup].frames, MsgType::kAck,
+                         net::encodeAck(ack));
+    }
+    for (size_t g = 0; g < groups; ++g) {
+        AckGroup &group = ackGroups_[g];
+        group.start = g == 0 ? tStart : ackGroups_[g - 1].end;
+        {
+            std::lock_guard<std::mutex> wl(group.conn->writeMutex);
+            // A false return means the peer vanished; its loss.
+            group.conn->stream.sendBytes(group.frames);
+        }
+        group.end = std::chrono::steady_clock::now();
+    }
+    for (const auto &item : batch) {
+        const AckGroup &group = ackGroups_[item.conn->ackGroup];
+        obs::recordSpan(ackSite, group.start, group.end,
+                        ingestContext(item.ingest));
+    }
+    {
+        std::lock_guard<std::mutex> lk(statsMutex_);
+        stats_.acksSent += batch.size();
+        stats_.ackWrites += groups;
+    }
+    auto &reg = obs::Registry::global();
+    reg.counter("server.acks").add(batch.size());
+    reg.counter("server.ack_writes").add(groups);
 }
 
 void

@@ -18,7 +18,8 @@
  *                   out-of-lock WAL appends. Greedily batches
  *                   consecutive kIngest items (across connections) up
  *                   to maxBatch and group-commits them with one WAL
- *                   sync, then writes each item's kAck. Because the
+ *                   sync, then writes each connection's kAcks of the
+ *                   batch in one send. Because the
  *                   queue is FIFO and the committer is alone, every
  *                   reply on one connection is sent in that
  *                   connection's request order (acks always precede
@@ -67,7 +68,9 @@
  * decomposed into stage spans — `server.read.decode` (reader),
  * `server.queue_wait` (enqueue → committer dequeue), `server.encode`
  * (wire → sim message conversion), `persist.wal.sync` (the group
- * commit incl. the WAL sync), `server.ack` (reply write) — recorded
+ * commit incl. the WAL sync), `server.ack` (reply write; one interval
+ * per connection per batch, the connections' intervals tiling the
+ * ack phase) — recorded
  * per item into obs histograms, parented to the trace context the
  * frame carried (net/wire.h kExtTraceContext) when present. Batch
  * stages (encode, commit) are observed once per item at the batch's
@@ -132,6 +135,9 @@ struct ServerStats
     uint64_t ingestMessages = 0;
     uint64_t batches = 0;       ///< Committer batches (size >= 1).
     uint64_t acksSent = 0;
+    /** Socket writes that carried acks: at most one per connection
+     *  per batch (a connection's acks of a batch share one send). */
+    uint64_t ackWrites = 0;
     uint64_t cycles = 0;
     uint64_t flushes = 0;
     uint64_t protocolErrors = 0;
@@ -213,6 +219,20 @@ class IngestServer
         /** kBusy already sent for the degraded (disk-faulted) mode;
          *  committer thread only. */
         bool diskBusyAdvised = false;
+        /** The committer batch whose acks ackGroups_[ackGroup] holds
+         *  for this connection; committer thread only. */
+        uint64_t ackBatch = 0;
+        size_t ackGroup = 0;
+    };
+
+    /** One connection's acks of one batch: the frames, sent in one
+     *  write, and the interval its `server.ack` spans record. */
+    struct AckGroup
+    {
+        /** Set per batch; the batch's WorkItems keep it alive. */
+        Conn *conn = nullptr;
+        std::string frames; ///< Cleared per batch, capacity kept.
+        std::chrono::steady_clock::time_point start, end;
     };
 
     struct WorkItem
@@ -231,8 +251,14 @@ class IngestServer
     void readerLoop(std::shared_ptr<Conn> conn);
     void committerLoop();
 
-    /** Group-commit (or per-record) one batch and ack every item. */
+    /** Group-commit one batch, then ack every item with one write
+     *  per connection. */
     void commitBatch(std::vector<WorkItem> &batch);
+
+    /** Send @p batch's acks: each connection's frames, in queue order,
+     *  in one write under its writeMutex. */
+    void sendAcks(const std::vector<WorkItem> &batch,
+                  const std::vector<bool> &accepted);
     void handleCycle(const WorkItem &item);
     void handleFlush(const WorkItem &item);
     void handleBye(const WorkItem &item);
@@ -282,6 +308,10 @@ class IngestServer
     mutable std::mutex connMutex_;
     std::vector<std::shared_ptr<Conn>> conns_;
     uint64_t nextConnId_ = 1;
+
+    /** Committer-only ack scratch, reused batch after batch. */
+    std::vector<AckGroup> ackGroups_;
+    uint64_t ackBatches_ = 0;
 
     mutable std::mutex statsMutex_;
     ServerStats stats_;

@@ -147,28 +147,36 @@ Cloud::ingestBatchFrom(std::vector<IngestMessage> batch)
         // Group commit: every attempt of the batch becomes durable
         // with a single sync, before the ingest lock is touched
         // (WAL-first still holds — durability precedes the apply).
+        // logIngestBatch times its append and fsync stages itself.
         std::vector<std::string> payloads;
-        payloads.reserve(batch.size());
-        for (const auto &m : batch) {
-            const auto *up = m.upload ? &*m.upload : nullptr;
-            payloads.push_back(persist::CloudPersistence::encodeIngest(
-                m.device, m.seq, m.entry,
-                up ? &up->features : nullptr,
-                up ? &up->context : nullptr,
-                up ? up->driftFlag : false));
+        {
+            NAZAR_SPAN("persist.wal.encode");
+            payloads.reserve(batch.size());
+            for (const auto &m : batch) {
+                const auto *up = m.upload ? &*m.upload : nullptr;
+                payloads.push_back(
+                    persist::CloudPersistence::encodeIngest(
+                        m.device, m.seq, m.entry,
+                        up ? &up->features : nullptr,
+                        up ? &up->context : nullptr,
+                        up ? up->driftFlag : false));
+            }
         }
         persist_->logIngestBatch(payloads);
     }
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    for (size_t i = 0; i < batch.size(); ++i) {
-        auto &m = batch[i];
-        if (!dedupAcceptLocked(m.device, m.seq))
-            continue;
-        rows.add(1);
-        if (m.upload.has_value())
-            uploads.add(1);
-        ingestLocked(m.entry, std::move(m.upload));
-        accepted[i] = true;
+    {
+        NAZAR_SPAN("cloud.apply");
+        for (size_t i = 0; i < batch.size(); ++i) {
+            auto &m = batch[i];
+            if (!dedupAcceptLocked(m.device, m.seq))
+                continue;
+            rows.add(1);
+            if (m.upload.has_value())
+                uploads.add(1);
+            ingestLocked(m.entry, std::move(m.upload));
+            accepted[i] = true;
+        }
     }
     maybeSnapshotLocked();
     return accepted;

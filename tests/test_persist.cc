@@ -560,6 +560,109 @@ TEST(SnapshotTest, FileRoundTripAndCorruptionFallback)
     EXPECT_FALSE(loadChainFile(dir.path / "nope.full").has_value());
 }
 
+std::string
+slurpBytes(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/**
+ * A random snapshot of about @p rows drift-log rows: NULL and empty
+ * cells, NaN/±inf/-0 in upload features and context values, uploads
+ * without features, dedup windows, empty blobs and patch text.
+ */
+SnapshotData
+randomSnapshot(Rng &rng, size_t rows)
+{
+    using driftlog::Value;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> doubles = {nan, -nan, inf,  -inf,
+                                         0.0, -0.0, 1.5, -2.25};
+    const std::vector<Value> strings = {Value(std::string()),
+                                        Value("snow"), Value("a,b"),
+                                        Value()};
+    auto maybeNull = [&](Value v) {
+        return rng.bernoulli(0.1) ? Value() : v;
+    };
+    SnapshotData data;
+    data.logicalTime = rng.uniformInt(0, 9);
+    data.nextVersionId = rng.uniformInt(1, 9);
+    data.totalIngested = rng.index(1000);
+    data.dedupHits = rng.index(50);
+    driftlog::Table table(data.driftLog.table().schema());
+    for (size_t r = 0; r < rows; ++r) {
+        driftlog::Row row(table.schema().columnCount());
+        row[0] = maybeNull(Value(static_cast<int64_t>(rng.index(30))));
+        for (size_t c = 1; c <= 5; ++c)
+            row[c] = strings[rng.index(strings.size())];
+        row[6] = maybeNull(Value(static_cast<int64_t>(rng.index(5))));
+        row[7] = maybeNull(Value(rng.bernoulli(0.5)));
+        table.append(row);
+    }
+    data.driftLog = driftlog::DriftLog::fromTable(std::move(table));
+    for (size_t u = 0; u < rows / 2; ++u) {
+        UploadRecord up;
+        for (size_t f = rng.index(4); f > 0; --f)
+            up.features.push_back(doubles[rng.index(doubles.size())]);
+        up.context = rca::AttributeSet(
+            {{"weather", strings[rng.index(strings.size())]},
+             {"score", Value(doubles[rng.index(doubles.size())])}});
+        up.driftFlag = rng.bernoulli(0.5);
+        data.uploads.push_back(std::move(up));
+    }
+    const int64_t devices = static_cast<int64_t>(rng.index(4));
+    for (int64_t device = 0; device < devices; ++device) {
+        DedupWindow window{rng.index(5), {}};
+        for (size_t n = rng.index(6); n > 0; --n)
+            window.seen.push_back(window.floor + window.seen.size());
+        data.dedup[device] = std::move(window);
+    }
+    for (size_t b = rng.index(3); b > 0; --b)
+        data.blobs.emplace_back("versions/" + std::to_string(b) + "/meta",
+                                std::string(rng.index(40), 'm'));
+    if (rng.bernoulli(0.5)) {
+        data.cleanPatchText = std::string(rng.index(30), 'p');
+        data.cleanPatchTime = rng.uniformInt(0, 9);
+    }
+    return data;
+}
+
+TEST(SnapshotTest, ReusedBufferFilesMatchFreshEncoding)
+{
+    // CloudPersistence encodes every snapshot into one reused buffer;
+    // each file must equal a fresh writeChainFile(encodeSnapshot(..))
+    // byte for byte. The row counts go large to small to empty, so a
+    // file written after a larger one would show any stale bytes.
+    TempDir dir("reuse");
+    TempDir oracle("reuse_oracle");
+    PersistConfig config;
+    config.dir = dir.path.string();
+    config.snapshotEvery = 0;
+    CloudPersistence persist(config, /*dedup_window=*/8);
+    Rng rng(20261019);
+    for (size_t rows : {400, 3, 0, 250, 1, 120, 0, 60}) {
+        SCOPED_TRACE("rows " + std::to_string(rows));
+        SnapshotData data = randomSnapshot(rng, rows);
+        for (size_t flushes = rng.index(3); flushes > 0; --flushes)
+            persist.logFlush(); // vary lastWalSeq
+        persist.writeSnapshot(data);
+        ChainHeader header;
+        header.id = persist.chainHeadId();
+        header.lastWalSeq = data.lastWalSeq;
+        CrashInjector injector;
+        Env env;
+        writeChainFile(oracle.path, header, encodeSnapshot(data),
+                       injector, env);
+        const std::string name = chainFileName(header.id);
+        const std::string written = slurpBytes(dir.path / name);
+        ASSERT_FALSE(written.empty());
+        EXPECT_EQ(written, slurpBytes(oracle.path / name));
+    }
+}
+
 TEST(SnapshotTest, DecodeRejectsTruncatedPayload)
 {
     std::string payload = encodeSnapshot(sampleSnapshot());
@@ -665,7 +768,6 @@ TEST(CrashInjectorTest, DisarmedCountsWithoutFiring)
     for (int i = 0; i < 10; ++i)
         EXPECT_FALSE(injector.fires("site.a"));
     EXPECT_EQ(injector.hitCount(), 10u);
-    EXPECT_EQ(injector.siteLog().size(), 10u);
 }
 
 TEST(CrashInjectorTest, FiresExactlyAtArmedHit)
@@ -1057,6 +1159,77 @@ TEST_F(PersistCloudTest, RecoverDirMatchesLiveState)
     EXPECT_EQ(again.totalIngested, st.totalIngested);
 }
 
+/** A directory holding one snapshot (rows 0-9) and, after it, three
+ *  WAL records (seqs 11-13): the WAL was truncated at the snapshot. */
+sim::CloudConfig
+snapshotThenWal(const fs::path &dir)
+{
+    sim::CloudConfig config = scriptConfig(dir.string(), 0);
+    config.persist.snapshotEvery = 0; // only the explicit checkpoint
+    sim::Cloud cloud(config, scriptBase());
+    for (int i = 0; i < 13; ++i) {
+        if (i == 10)
+            cloud.checkpoint();
+        cloud.ingestFrom(i % 3, static_cast<uint64_t>(i), scriptEntry(i),
+                         scriptUpload(i));
+    }
+    return config;
+}
+
+TEST_F(PersistCloudTest, CorruptNewestSnapshotIsRefusedAndKept)
+{
+    // The newest snapshot holds the only copy of the rows the WAL
+    // dropped when it committed, and no crash leaves a committed
+    // snapshot torn. So a newest snapshot failing its CRC is refused,
+    // by name, with every file left as it was.
+    TempDir dir("corrupt_newest");
+    const sim::CloudConfig config = snapshotThenWal(dir.path);
+    EXPECT_EQ(recoverDir(dir.path, 8).totalIngested, 13u);
+    const fs::path full = dir.path / chainFileName(1);
+    const fs::path wal = dir.path / "wal.log";
+    std::string bytes = slurpBytes(full);
+    ASSERT_FALSE(bytes.empty());
+    bytes.back() ^= 0x01;
+    std::ofstream(full, std::ios::binary | std::ios::trunc) << bytes;
+    const std::string wal_bytes = slurpBytes(wal);
+
+    try {
+        (void)recoverDir(dir.path, /*dedup_window=*/8);
+        ADD_FAILURE() << "recovered past a corrupt newest snapshot";
+    } catch (const NazarError &e) {
+        EXPECT_NE(std::string(e.what()).find(full.string()),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(sim::Cloud(config, scriptBase()), NazarError);
+    EXPECT_FALSE(scrubStateDir(dir.path).ok);
+    EXPECT_EQ(slurpBytes(full), bytes);
+    EXPECT_EQ(slurpBytes(wal), wal_bytes);
+}
+
+TEST_F(PersistCloudTest, WalStartingAboveTheSnapshotIsRefused)
+{
+    // WAL seqs keep counting across truncation: a WAL that starts
+    // above the loaded snapshot's cut (here: the snapshot is gone)
+    // lost the records in between, so recovery refuses it.
+    TempDir dir("wal_gap");
+    const sim::CloudConfig config = snapshotThenWal(dir.path);
+    fs::remove(dir.path / chainFileName(1));
+    const fs::path wal = dir.path / "wal.log";
+    const std::string wal_bytes = slurpBytes(wal);
+    try {
+        (void)recoverDir(dir.path, /*dedup_window=*/8);
+        ADD_FAILURE() << "recovered a WAL with a gap below it";
+    } catch (const NazarError &e) {
+        EXPECT_NE(std::string(e.what()).find(wal.string()),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(sim::Cloud(config, scriptBase()), NazarError);
+    EXPECT_FALSE(scrubStateDir(dir.path).ok);
+    EXPECT_EQ(slurpBytes(wal), wal_bytes);
+}
+
 /**
  * The bytes the pre-chain layout left in snapshot.bin: the
  * "NZSNAP1\0" file header around a payload with no format tag and
@@ -1186,12 +1359,7 @@ TEST_F(PersistCloudTest, DeltaSnapshotIsRefusedAndKept)
          deltaSnapshotFile(2, 1, base->header.payloadCrc, scan.records)},
         {"snap-000009.delta", "not a snapshot"},
     };
-    auto slurp = [](const fs::path &path) {
-        std::ifstream in(path, std::ios::binary);
-        return std::string((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    };
-    const std::string full_bytes = slurp(full);
+    const std::string full_bytes = slurpBytes(full);
     for (const auto &[name, bytes] : deltas) {
         SCOPED_TRACE(name);
         const fs::path delta = dir.path / name;
@@ -1203,8 +1371,8 @@ TEST_F(PersistCloudTest, DeltaSnapshotIsRefusedAndKept)
         ScrubReport scrub = scrubStateDir(dir.path);
         EXPECT_FALSE(scrub.ok);
 
-        EXPECT_EQ(slurp(delta), bytes);
-        EXPECT_EQ(slurp(full), full_bytes);
+        EXPECT_EQ(slurpBytes(delta), bytes);
+        EXPECT_EQ(slurpBytes(full), full_bytes);
         EXPECT_EQ(fs::file_size(dir.path / "wal.log"),
                   sizeof(Wal::kMagic));
         fs::remove(delta);

@@ -126,6 +126,128 @@ TEST_F(ServerTest, ChaoticClientsReconcileExactly)
     EXPECT_LT(ss.batches, ss.ingestMessages);
 }
 
+/**
+ * Run @p clients chaos-duplicating clients against a deliberately
+ * slow committer, so batches hold several records of several
+ * connections. Returns each client's acks as (seq, accepted) in
+ * arrival order, and its stats.
+ */
+struct AckTrace
+{
+    std::vector<std::vector<std::pair<uint64_t, bool>>> acks;
+    std::vector<net::ClientStats> stats;
+};
+
+AckTrace
+runAckTrace(IngestServer &server, int clients, int events)
+{
+    AckTrace out;
+    out.acks.resize(clients);
+    out.stats.resize(clients);
+    std::vector<std::string> errors(clients);
+    std::vector<std::unique_ptr<net::IngestClient>> conns;
+    for (int c = 0; c < clients; ++c) {
+        net::FaultConfig chaos;
+        chaos.dupProb = 0.2;
+        chaos.seed = 40 + static_cast<uint64_t>(c);
+        conns.push_back(
+            std::make_unique<net::IngestClient>(server.port(), chaos));
+    }
+    std::vector<std::thread> threads;
+    for (int c = 0; c < clients; ++c)
+        threads.emplace_back([&, c] {
+            try {
+                net::IngestClient &client = *conns[c];
+                client.setAckObserver([&out, c](const net::WireAck &a) {
+                    out.acks[c].emplace_back(a.seq, a.accepted);
+                });
+                for (int e = 0; e < events; ++e) {
+                    net::WireIngest m;
+                    m.device = c;
+                    m.seq = static_cast<uint64_t>(e);
+                    m.entry.deviceId = "ack-device-" + std::to_string(c);
+                    m.entry.weather = e % 2 == 0 ? "rain" : "snow";
+                    client.sendIngest(m);
+                }
+                client.bye();
+                out.stats[c] = client.stats();
+            } catch (const NazarError &e) {
+                errors[c] = e.what();
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    for (int c = 0; c < clients; ++c)
+        EXPECT_TRUE(errors[c].empty()) << "client " << c << ": "
+                                       << errors[c];
+    return out;
+}
+
+TEST_F(ServerTest, AcksLeaveOneWritePerConnectionPerBatchInSendOrder)
+{
+    for (int clients : {1, 4}) {
+        SCOPED_TRACE(std::to_string(clients) + " client(s)");
+        obs::Registry::global().reset();
+        obs::setEnabled(true);
+        nn::Classifier base = tinyBase();
+        sim::Cloud cloud(sim::CloudConfig{}, base);
+        ServerConfig sc;
+        sc.commitDelayUs = 1500; // let the queue fill between batches
+        IngestServer server(cloud, sc);
+        server.start();
+        constexpr int kEvents = 300;
+        AckTrace trace = runAckTrace(server, clients, kEvents);
+        server.stop();
+
+        // Every client's acks arrive in its send order: each seq once
+        // accepted, its chaos duplicate (sent right behind it) once
+        // rejected, never out of order.
+        uint64_t duplicates = 0;
+        for (int c = 0; c < clients; ++c) {
+            SCOPED_TRACE("client " + std::to_string(c));
+            const auto &acks = trace.acks[c];
+            const net::ClientStats &cs = trace.stats[c];
+            ASSERT_EQ(acks.size(), cs.framesSent);
+            uint64_t expect = 0;
+            for (size_t i = 0; i < acks.size(); ++i) {
+                if (acks[i].second) {
+                    ASSERT_EQ(acks[i].first, expect) << "ack " << i;
+                    ++expect;
+                } else {
+                    ASSERT_GT(expect, 0u) << "ack " << i;
+                    ASSERT_EQ(acks[i].first, expect - 1) << "ack " << i;
+                }
+            }
+            EXPECT_EQ(expect, static_cast<uint64_t>(kEvents));
+            // Exactly-once reconciliation.
+            EXPECT_EQ(cs.acksAccepted, cs.sent);
+            EXPECT_EQ(cs.acksRejected, cs.duplicates);
+            duplicates += cs.duplicates;
+        }
+        EXPECT_EQ(cloud.totalIngested(),
+                  static_cast<size_t>(clients * kEvents));
+        EXPECT_EQ(cloud.dedupHits(), duplicates);
+
+        // A batch spanning K connections makes at most K ack writes,
+        // and at least one; with one client, exactly one.
+        ServerStats ss = server.stats();
+        EXPECT_EQ(ss.acksSent, ss.ingestMessages);
+        EXPECT_GE(ss.ackWrites, ss.batches);
+        EXPECT_LE(ss.ackWrites,
+                  ss.batches * static_cast<uint64_t>(clients));
+        if (clients == 1) {
+            EXPECT_EQ(ss.ackWrites, ss.batches);
+        }
+        // The slow committer made multi-record batches, so acks did
+        // share writes.
+        EXPECT_LT(ss.ackWrites, ss.acksSent);
+        auto snap = obs::Registry::global().snapshot();
+        EXPECT_EQ(snap.counters["server.ack_writes"], ss.ackWrites);
+        EXPECT_EQ(snap.counters["server.acks"], ss.acksSent);
+    }
+    obs::Registry::global().reset();
+}
+
 TEST_F(ServerTest, GroupCommitRecoversTheSameStateAsPerRecord)
 {
     // Same single-client stream into two persisted clouds, one group
