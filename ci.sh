@@ -160,6 +160,25 @@ EOF
         echo "crash smoke: scrub missed a corrupt newest snapshot" >&2
         exit 1; }
     ./build-ci/bench/bench_crash_recovery --quick > /dev/null
+    # Durable-state determinism: the same persisted sim at one thread
+    # and at four must write a byte-identical WAL and newest snapshot.
+    echo "==== persisted determinism smoke (Release) ===="
+    for threads in 1 4; do
+        rm -rf "build-ci/persist_t$threads"
+        NAZAR_THREADS="$threads" ./build-ci/tools/nazar_ops sim 1 \
+            --persist-dir="build-ci/persist_t$threads" \
+            --snapshot-every=64 > /dev/null 2>&1
+    done
+    cmp build-ci/persist_t1/wal.log build-ci/persist_t4/wal.log || {
+        echo "persist determinism: wal.log differs across threads" >&2
+        exit 1; }
+    newest="$(ls build-ci/persist_t1/snap-*.full | sort | tail -n 1)"
+    newest4="$(ls build-ci/persist_t4/snap-*.full | sort | tail -n 1)"
+    [ "$(basename "$newest")" = "$(basename "$newest4")" ] &&
+        cmp "$newest" "$newest4" || {
+        echo "persist determinism: newest snapshot differs across" \
+             "threads" >&2
+        exit 1; }
     # Disk-fault smoke: a sim with an injected mid-run ENOSPC on the
     # WAL write path must latch the fsync gate (not crash), rebuild
     # from the last durable state, finish every window, and leave a

@@ -224,18 +224,23 @@ checkWalContinues(const RecoveredState &st,
         "recover");
 }
 
-} // namespace
-
-RecoveredState
-recoverDir(const fs::path &dir, size_t dedup_window)
+/**
+ * The read-only part of every recovery: load the newest snapshot into
+ * @p st (its id into @p snapshot_id), refuse a WAL gap, and replay
+ * the WAL records above the snapshot's cut. Returns the WAL scan, so
+ * an open can position the WAL without reading it again.
+ */
+WalScan
+replayStateDir(RecoveredState &st, const fs::path &dir,
+               size_t dedup_window, uint64_t &snapshot_id)
 {
-    RecoveredState st;
-    loadSnapshotChain(st, dir);
-    WalScan scan = Wal::scan(dir / "wal.log");
+    snapshot_id = loadSnapshotChain(st, dir);
+    const fs::path wal_path = dir / "wal.log";
+    WalScan scan = Wal::scan(wal_path);
     NAZAR_CHECK(!scan.unreadable,
-                "recover: " + (dir / "wal.log").string() +
+                "recover: " + wal_path.string() +
                     " exists but cannot be read");
-    checkWalContinues(st, scan.records, dir / "wal.log");
+    checkWalContinues(st, scan.records, wal_path);
     st.truncatedBytes = scan.truncatedBytes;
     for (const auto &rec : scan.records) {
         if (rec.seq <= st.lastWalSeq)
@@ -244,6 +249,34 @@ recoverDir(const fs::path &dir, size_t dedup_window)
         st.lastWalSeq = rec.seq;
         ++st.replayedRecords;
     }
+    return scan;
+}
+
+/** Append @p m's kIngest payload to @p w. */
+void
+encodeIngest(Writer &w, const IngestMessage &m)
+{
+    uint8_t flags = 0;
+    if (m.upload.has_value())
+        flags |= kFlagHasUpload;
+    if (m.device >= 0)
+        flags |= kFlagFromDevice;
+    w.putU8(flags);
+    w.putI64(m.device);
+    w.putU64(m.seq);
+    putEntry(w, *m.entry);
+    if (m.upload.has_value())
+        putUpload(w, *m.upload);
+}
+
+} // namespace
+
+RecoveredState
+recoverDir(const fs::path &dir, size_t dedup_window)
+{
+    RecoveredState st;
+    uint64_t snapshot_id = 0;
+    replayStateDir(st, dir, dedup_window, snapshot_id);
     return st;
 }
 
@@ -259,17 +292,20 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
     env_.arm(config_.fault);
 
     fs::path dir(config_.dir);
-    chainHeadId_ = loadSnapshotChain(recovered_, dir);
+    const WalScan scan =
+        replayStateDir(recovered_, dir, dedup_window, chainHeadId_);
+    // Only now may a file change: opening the WAL cuts at most its
+    // torn tail, which no one was acknowledged for.
+    wal_ = std::make_unique<Wal>(dir / "wal.log", scan, &injector_,
+                                 config_.sync, &env_,
+                                 recovered_.lastWalSeq);
     if (recovered_.snapshotLoaded)
         obs::Registry::global()
             .counter("persist.recover.snapshot_loads")
             .add(1);
-
-    // Opening the WAL changes at most its torn tail, which no one
-    // was acknowledged for.
-    wal_ = std::make_unique<Wal>(dir / "wal.log", &injector_,
-                                 config_.sync, &env_);
-    checkWalContinues(recovered_, wal_->records(), wal_->path());
+    obs::Registry::global()
+        .counter("persist.recover.replayed_records")
+        .add(recovered_.replayedRecords);
 
     // A crash during a tmp phase leaves orphans (snapshot.tmp or
     // snap-*.tmp); they were never committed, so discard them.
@@ -281,20 +317,6 @@ CloudPersistence::CloudPersistence(const PersistConfig &config,
     }
     for (const auto &orphan : orphans)
         fs::remove(orphan, ec);
-
-    wal_->bumpSeqPast(recovered_.lastWalSeq);
-    recovered_.truncatedBytes = wal_->truncatedBytes();
-    for (const auto &rec : wal_->records()) {
-        if (rec.seq <= recovered_.lastWalSeq)
-            continue;
-        applyWalRecord(recovered_, rec, dedup_window);
-        recovered_.lastWalSeq = rec.seq;
-        ++recovered_.replayedRecords;
-    }
-    wal_->dropRecords();
-    obs::Registry::global()
-        .counter("persist.recover.replayed_records")
-        .add(recovered_.replayedRecords);
 }
 
 uint64_t
@@ -305,60 +327,35 @@ CloudPersistence::append(WalRecordType type, const std::string &payload)
     return seq;
 }
 
-std::string
-CloudPersistence::encodeIngest(int64_t device, uint64_t seq,
-                               const driftlog::DriftLogEntry &entry,
-                               const std::vector<double> *features,
-                               const rca::AttributeSet *context,
-                               bool drift_flag)
-{
-    Writer w;
-    uint8_t flags = 0;
-    if (features != nullptr)
-        flags |= kFlagHasUpload;
-    if (device >= 0)
-        flags |= kFlagFromDevice;
-    w.putU8(flags);
-    w.putI64(device);
-    w.putU64(seq);
-    putEntry(w, entry);
-    if (features != nullptr) {
-        w.putU64(features->size());
-        for (double f : *features)
-            w.putF64(f);
-        putAttributeSet(w, *context);
-        w.putBool(drift_flag);
-    }
-    return w.take();
-}
-
 void
-CloudPersistence::logIngest(int64_t device, uint64_t seq,
-                            const driftlog::DriftLogEntry &entry,
-                            const std::vector<double> *features,
-                            const rca::AttributeSet *context,
-                            bool drift_flag)
+CloudPersistence::logIngestBatch(std::span<const IngestMessage> batch)
 {
-    append(WalRecordType::kIngest,
-           encodeIngest(device, seq, entry, features, context,
-                        drift_flag));
-}
-
-void
-CloudPersistence::logIngestBatch(const std::vector<std::string> &payloads)
-{
-    if (payloads.empty())
+    if (batch.empty())
         return;
     {
+        NAZAR_SPAN("persist.wal.encode");
+        ingestBuf_.clear();
+        ingestEnds_.clear();
+        for (const auto &m : batch) {
+            encodeIngest(ingestBuf_, m);
+            ingestEnds_.push_back(ingestBuf_.size());
+        }
+    }
+    {
         NAZAR_SPAN("persist.wal.append");
-        for (const auto &payload : payloads)
-            wal_->appendBuffered(WalRecordType::kIngest, payload);
+        const std::string_view bytes = ingestBuf_.bytes();
+        size_t begin = 0;
+        for (size_t end : ingestEnds_) {
+            wal_->appendBuffered(WalRecordType::kIngest,
+                                 bytes.substr(begin, end - begin));
+            begin = end;
+        }
     }
     {
         NAZAR_SPAN("persist.wal.fsync");
         wal_->sync();
     }
-    appendsSince_ += payloads.size();
+    appendsSince_ += batch.size();
     obs::Registry::global()
         .counter("persist.wal.group_commits")
         .add(1);
@@ -465,24 +462,22 @@ scrubStateDir(const fs::path &dir)
 
     // --- WAL: header, per-record CRC + seq monotonicity -------------
     fs::path wal_path = dir / "wal.log";
-    uint64_t wal_first_seq = 0; // 0 = no records
+    WalScan wal; // no records unless wal.log reads cleanly
     if (fs::exists(wal_path, ec)) {
-        WalScan scan = Wal::scan(wal_path);
-        if (scan.unreadable) {
+        wal = Wal::scan(wal_path);
+        if (wal.unreadable) {
             report.ok = false;
             report.issues.push_back("wal.log exists but is unreadable");
-        } else if (!scan.validHeader) {
+        } else if (!wal.validHeader) {
             report.ok = false;
             report.issues.push_back("wal.log has no valid header");
         } else {
-            report.walRecords = scan.records.size();
-            report.walTornBytes = scan.truncatedBytes;
-            if (!scan.records.empty())
-                wal_first_seq = scan.records.front().seq;
-            if (scan.truncatedBytes > 0)
+            report.walRecords = wal.records.size();
+            report.walTornBytes = wal.truncatedBytes;
+            if (wal.truncatedBytes > 0)
                 report.notes.push_back(
                     "wal.log has a torn tail of " +
-                    std::to_string(scan.truncatedBytes) +
+                    std::to_string(wal.truncatedBytes) +
                     " bytes (recovery truncates it)");
         }
     } else {
@@ -539,9 +534,8 @@ scrubStateDir(const fs::path &dir)
                                    " superseded snapshot file(s) "
                                    "awaiting GC");
         if (report.walRecords > 0 && report.ok) {
-            WalScan scan = Wal::scan(wal_path);
             uint64_t stale = 0;
-            for (const auto &rec : scan.records)
+            for (const auto &rec : wal.records)
                 if (rec.seq <= head->header.lastWalSeq)
                     ++stale;
             if (stale > 0)
@@ -563,6 +557,8 @@ scrubStateDir(const fs::path &dir)
                                 "directory");
     }
     const uint64_t cut = head.has_value() ? head->header.lastWalSeq : 0;
+    const uint64_t wal_first_seq =
+        wal.records.empty() ? 0 : wal.records.front().seq;
     if (wal_first_seq > cut + 1) {
         report.ok = false;
         report.issues.push_back(

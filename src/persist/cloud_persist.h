@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,22 @@ struct RecoveredState
     uint64_t truncatedBytes = 0; ///< Torn WAL tail dropped on open.
 };
 
+/**
+ * One sequenced ingest attempt: what a kIngest WAL record holds and
+ * what sim::Cloud applies. A negative `device` skips the dedup window
+ * (sim::Cloud::ingest).
+ */
+struct IngestMessage
+{
+    int device = 0;
+    uint64_t seq = 0;
+    /** Borrowed: the caller keeps it alive for the ingest call. */
+    const driftlog::DriftLogEntry *entry = nullptr;
+    std::optional<UploadRecord> upload;
+    /** Set by the ingest: false on a dedup hit. */
+    bool accepted = false;
+};
+
 /** The blobs one published version wrote to the registry store. */
 struct VersionBlobs
 {
@@ -96,13 +113,13 @@ struct VersionBlobs
 
 /**
  * Read-only recovery: load the newest valid snapshot and replay the
- * WAL. Used by `nazar_ops recover` and by tests; Cloud recovery goes
- * through CloudPersistence, which additionally opens the WAL for
- * append (truncating any torn tail). Both throw NazarError, and touch
- * nothing, when @p dir holds a file this build cannot read but whose
- * contents no other file holds: a pre-chain `snapshot.bin`, or a
- * `snap-<id>.delta` (it archived WAL records that were then
- * truncated from the WAL).
+ * WAL records above its cut. Used by `nazar_ops recover` and by
+ * tests; the CloudPersistence constructor runs the same steps before
+ * it changes any file. Throws NazarError, touching nothing, when
+ * @p dir holds a file this build cannot read but whose contents no
+ * other file holds (a pre-chain `snapshot.bin`, a `snap-<id>.delta`,
+ * or a newest `snap-<id>.full` failing its header or CRC check), or
+ * when the WAL starts above the snapshot's cut.
  *
  * @param dedup_window Dedup window size to replay ingests with; must
  *                     match the CloudConfig the WAL was written under.
@@ -138,9 +155,12 @@ class CloudPersistence
 {
   public:
     /**
-     * Open (creating if needed) the state directory, recover, and
-     * position the WAL for append. @p dedup_window must match the
-     * owning cloud's config so replayed ingests dedup identically.
+     * Open (creating if needed) the state directory and recover it
+     * with recoverDir's read-only steps; only then open the WAL for
+     * append (cutting a torn tail) and remove `.tmp` orphans, so a
+     * refused directory is left byte for byte as it was. The WAL is
+     * read once. @p dedup_window must match the owning cloud's config
+     * so replayed ingests dedup identically.
      */
     CloudPersistence(const PersistConfig &config, size_t dedup_window);
 
@@ -151,34 +171,14 @@ class CloudPersistence
     void dropRecovered() { recovered_ = RecoveredState{}; }
 
     /**
-     * Log one ingest attempt (WAL-first: call before applying).
-     * @p device is -1 for the non-deduped ingest() path; @p features
-     * is null when the entry carries no upload.
+     * Log ingest attempts (WAL-first: call before applying): every
+     * message becomes one kIngest record, all made durable by ONE
+     * sync. A one-message batch is exactly a per-record append. A
+     * crash mid-batch leaves at most a torn tail; records before the
+     * tear replay, the rest were never acknowledged. Callers must
+     * serialize against other WAL writers.
      */
-    void logIngest(int64_t device, uint64_t seq,
-                   const driftlog::DriftLogEntry &entry,
-                   const std::vector<double> *features,
-                   const rca::AttributeSet *context, bool drift_flag);
-
-    /**
-     * Encode one ingest attempt as a kIngest payload (the bytes
-     * logIngest appends). Exposed so callers can pre-encode a batch
-     * for logIngestBatch.
-     */
-    static std::string encodeIngest(int64_t device, uint64_t seq,
-                                    const driftlog::DriftLogEntry &entry,
-                                    const std::vector<double> *features,
-                                    const rca::AttributeSet *context,
-                                    bool drift_flag);
-
-    /**
-     * Group commit: append every payload (from encodeIngest) with ONE
-     * sync for the whole batch. A crash mid-batch leaves at most a
-     * torn tail; records before the tear replay, the rest were never
-     * acknowledged. Callers must serialize against other WAL writers
-     * (the ingest server's committer thread is the sole writer).
-     */
-    void logIngestBatch(const std::vector<std::string> &payloads);
+    void logIngestBatch(std::span<const IngestMessage> batch);
 
     /** Log one committed cycle (call after publishing to the store). */
     void logCycleCommit(int64_t logical_time, int64_t next_version_id,
@@ -219,7 +219,6 @@ class CloudPersistence
     CrashInjector &injector() { return injector_; }
     Env &env() { return env_; }
     const PersistConfig &config() const { return config_; }
-    const Wal &wal() const { return *wal_; }
 
     /** Appends since the last snapshot (exposed for tests). */
     uint64_t appendsSinceSnapshot() const { return appendsSince_; }
@@ -247,6 +246,10 @@ class CloudPersistence
     /** Every snapshot file is encoded into this one buffer (see
      *  writeSnapshotFile); it grows on first use, never up front. */
     Writer snapshotBuf_;
+    /** A batch's kIngest payloads, back to back, and where each ends;
+     *  reused batch after batch. */
+    Writer ingestBuf_;
+    std::vector<size_t> ingestEnds_;
 };
 
 } // namespace nazar::persist

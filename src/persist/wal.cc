@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -50,20 +51,19 @@ slurp(const fs::path &path)
     return out;
 }
 
-/** Parse @p data; returns the scan plus the byte length of the good prefix. */
-std::pair<WalScan, size_t>
+/** Parse @p data up to its torn tail. */
+WalScan
 parseWal(const std::string &data)
 {
     WalScan scan;
     if (data.size() < sizeof(Wal::kMagic) ||
         std::memcmp(data.data(), Wal::kMagic, sizeof(Wal::kMagic)) != 0) {
         scan.truncatedBytes = data.size();
-        return {std::move(scan), 0};
+        return scan;
     }
     scan.validHeader = true;
     size_t pos = sizeof(Wal::kMagic);
-    size_t good = pos;
-    uint64_t last_seq = 0;
+    scan.validBytes = pos;
     while (data.size() - pos >= 8) {
         Reader head(data.data() + pos, 8);
         uint32_t len = head.getU32();
@@ -84,16 +84,16 @@ parseWal(const std::string &data)
             rec.type != WalRecordType::kFlush &&
             rec.type != WalRecordType::kRegistryGc)
             break; // unknown type: treat as corruption
-        if (rec.seq <= last_seq)
+        if (rec.seq <= scan.lastSeq)
             break; // seqs are strictly increasing
         rec.payload.assign(body + 9, len - 9);
-        last_seq = rec.seq;
+        scan.lastSeq = rec.seq;
         scan.records.push_back(std::move(rec));
         pos += 8 + len;
-        good = pos;
+        scan.validBytes = pos;
     }
-    scan.truncatedBytes = data.size() - good;
-    return {std::move(scan), good};
+    scan.truncatedBytes = data.size() - scan.validBytes;
+    return scan;
 }
 
 } // namespace
@@ -129,13 +129,20 @@ WalScan
 Wal::scan(const fs::path &path)
 {
     SlurpResult slurped = slurp(path);
-    WalScan scan = parseWal(slurped.data).first;
+    WalScan scan = parseWal(slurped.data);
     scan.unreadable = slurped.unreadable;
     return scan;
 }
 
 Wal::Wal(const fs::path &path, CrashInjector *injector, SyncMode sync,
          Env *env)
+    : Wal(path, scan(path), injector, sync, env)
+{
+}
+
+Wal::Wal(const fs::path &path, const WalScan &scan,
+         CrashInjector *injector, SyncMode sync, Env *env,
+         uint64_t last_seq)
     : path_(path), injector_(injector), sync_(sync)
 {
     NAZAR_CHECK(injector_ != nullptr, "Wal: null crash injector");
@@ -144,17 +151,12 @@ Wal::Wal(const fs::path &path, CrashInjector *injector, SyncMode sync,
         env = ownedEnv_.get();
     }
     env_ = env;
-    SlurpResult slurped = slurp(path_);
-    NAZAR_CHECK(!slurped.unreadable,
+    NAZAR_CHECK(!scan.unreadable,
                 "Wal: " + path_.string() +
                     " exists but cannot be read; refusing to "
                     "overwrite it");
-    std::string data = std::move(slurped.data);
-    auto [scan, good] = parseWal(data);
     truncatedBytes_ = scan.truncatedBytes;
-    records_ = std::move(scan.records);
-    if (!records_.empty())
-        nextSeq_ = records_.back().seq + 1;
+    nextSeq_ = std::max(scan.lastSeq, last_seq) + 1;
     if (!scan.validHeader) {
         // Absent or unrecognizable file: start fresh with a header,
         // made durable (file + directory entry) before any record
@@ -167,13 +169,13 @@ Wal::Wal(const fs::path &path, CrashInjector *injector, SyncMode sync,
         file_ = std::exchange(guard.f, nullptr);
         return;
     }
-    if (good < data.size())
-        env_->resize("env.wal.truncate", path_, good); // drop torn tail
-    file_ = env_->open("env.wal.open", path_, "ab");
-    if (truncatedBytes_ > 0)
+    if (truncatedBytes_ > 0) {
+        env_->resize("env.wal.truncate", path_, scan.validBytes);
         obs::Registry::global()
             .counter("persist.wal.torn_bytes")
             .add(truncatedBytes_);
+    }
+    file_ = env_->open("env.wal.open", path_, "ab");
 }
 
 Wal::~Wal()
@@ -204,7 +206,7 @@ Wal::parentDir() const
 }
 
 uint64_t
-Wal::append(WalRecordType type, const std::string &payload)
+Wal::append(WalRecordType type, std::string_view payload)
 {
     uint64_t seq = appendBuffered(type, payload);
     sync();
@@ -212,24 +214,26 @@ Wal::append(WalRecordType type, const std::string &payload)
 }
 
 uint64_t
-Wal::appendBuffered(WalRecordType type, const std::string &payload)
+Wal::appendBuffered(WalRecordType type, std::string_view payload)
 {
-    Writer body;
-    body.putU8(static_cast<uint8_t>(type));
-    body.putU64(nextSeq_);
-    body.putBytes(payload.data(), payload.size());
-
-    Writer frame;
-    frame.putU32(static_cast<uint32_t>(body.size()));
-    frame.putU32(crc32(body.bytes().data(), body.size()));
-    frame.putBytes(body.bytes().data(), body.size());
-    const std::string &bytes = frame.bytes();
+    // [u32 len][u32 crc] placeholders, then the body, then the two
+    // fields patched in: one buffer per record, reused.
+    frame_.clear();
+    frame_.putU32(0);
+    frame_.putU32(0);
+    frame_.putU8(static_cast<uint8_t>(type));
+    frame_.putU64(nextSeq_);
+    frame_.putBytes(payload.data(), payload.size());
+    const std::string &bytes = frame_.bytes();
+    const size_t body = bytes.size() - 8;
+    frame_.putU32At(0, static_cast<uint32_t>(body));
+    frame_.putU32At(4, crc32(bytes.data() + 8, body));
 
     if (injector_->fires("wal.append.partial")) {
         // Torn write: the frame header plus roughly half the body
         // reaches disk before the "process" dies. The record fails
         // its CRC on reopen, so the operation was never durable.
-        size_t torn = 8 + (body.size() + 1) / 2;
+        size_t torn = 8 + (body + 1) / 2;
         std::fwrite(bytes.data(), 1, torn, file_->fp);
         std::fflush(file_->fp);
         throw CrashInjected("wal.append.partial", injector_->hitCount());
@@ -258,13 +262,6 @@ Wal::truncateAll()
     env_->syncDir("env.wal.dirsync", parentDir());
     obs::Registry::global().counter("persist.wal.truncations").add(1);
     injector_->check("wal.truncate.post");
-}
-
-void
-Wal::bumpSeqPast(uint64_t last_seq)
-{
-    if (nextSeq_ <= last_seq)
-        nextSeq_ = last_seq + 1;
 }
 
 } // namespace nazar::persist

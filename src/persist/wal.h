@@ -12,9 +12,10 @@
  * and keep counting across truncations, so a snapshot can record "I
  * contain everything up to seq S" and replay skips records <= S.
  *
- * Opening scans the file front to back; the first short read, CRC
+ * A scan reads the file front to back; the first short read, CRC
  * mismatch, or non-monotonic seq marks the torn tail left by a crash
- * mid-append, and the file is truncated to the last good record.
+ * mid-append, and opening for append truncates the file to the last
+ * good record.
  * Everything before the tear is valid by construction (each record is
  * independently checksummed), so a crash can only lose the operation
  * that was being written — which by WAL-first ordering was never
@@ -28,10 +29,12 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "persist/crash_point.h"
 #include "persist/env.h"
+#include "persist/serial.h"
 
 namespace nazar::persist {
 
@@ -56,6 +59,9 @@ struct WalScan
 {
     std::vector<WalRecord> records;
     uint64_t truncatedBytes = 0; ///< Torn-tail bytes dropped (0 = clean).
+    /** Header plus whole records: the length an open truncates to. */
+    uint64_t validBytes = 0;
+    uint64_t lastSeq = 0; ///< Seq of the last good record (0 = none).
     bool validHeader = false;
     /**
      * The file exists but could not be read (open failure other than
@@ -91,12 +97,10 @@ class Wal
 {
   public:
     /**
-     * Open (creating if absent) the WAL at @p path. Scans existing
-     * records, truncates any torn tail, and positions for append.
-     * Recovered records are available via records() until
-     * dropRecords() frees them. An *unreadable* existing file (open
-     * or read failure that isn't ENOENT) throws NazarError instead of
-     * being clobbered with a fresh header.
+     * Open (creating if absent) the WAL at @p path: scan it, truncate
+     * any torn tail, and position for append. An *unreadable*
+     * existing file (open or read failure that isn't ENOENT) throws
+     * NazarError instead of being clobbered with a fresh header.
      *
      * All file I/O is routed through @p env (sites "env.wal.open",
      * "env.wal.write", "env.wal.sync", "env.wal.truncate",
@@ -104,6 +108,18 @@ class Wal
      */
     Wal(const std::filesystem::path &path, CrashInjector *injector,
         SyncMode sync = SyncMode::kFlush, Env *env = nullptr);
+
+    /**
+     * Open from a scan of @p path already taken (recovery reads the
+     * file once): cut it to scan.validBytes and continue above
+     * scan.lastSeq, or above @p last_seq when that is higher (seqs
+     * keep counting across truncation, so a snapshot's cut may lie
+     * above the WAL's last record). Same I/O and checks as the
+     * scanning overload.
+     */
+    Wal(const std::filesystem::path &path, const WalScan &scan,
+        CrashInjector *injector, SyncMode sync, Env *env,
+        uint64_t last_seq = 0);
     ~Wal();
 
     Wal(const Wal &) = delete;
@@ -116,16 +132,17 @@ class Wal
      * "wal.append.post" fires after the full record is on disk (the
      * operation IS durable, the in-memory apply was lost).
      */
-    uint64_t append(WalRecordType type, const std::string &payload);
+    uint64_t append(WalRecordType type, std::string_view payload);
 
     /**
      * Group commit: append one record into the stdio buffer WITHOUT
      * syncing, and return its seq. The record is not durable until
      * the next sync(); a crash in between leaves at most a torn tail,
      * which the open-time scan truncates. Fires "wal.append.partial"
-     * exactly like append().
+     * exactly like append(). The record is framed in one buffer the
+     * Wal reuses.
      */
-    uint64_t appendBuffered(WalRecordType type, const std::string &payload);
+    uint64_t appendBuffered(WalRecordType type, std::string_view payload);
 
     /**
      * Make every buffered append durable: one flush (plus one
@@ -146,40 +163,11 @@ class Wal
      */
     void truncateAll();
 
-    /** Records recovered at open time (seq > any snapshot's cut). */
-    const std::vector<WalRecord> &records() const { return records_; }
-
-    /** Free the recovered records once replay has consumed them. */
-    void dropRecords() { records_.clear(); records_.shrink_to_fit(); }
-
     /** Torn-tail bytes truncated at open (0 when the shutdown was clean). */
     uint64_t truncatedBytes() const { return truncatedBytes_; }
 
-    /** Next sequence number that append() would assign. */
-    uint64_t nextSeq() const { return nextSeq_; }
-
     /** Last appended/recovered seq (0 when the log is empty). */
     uint64_t lastSeq() const { return nextSeq_ == 1 ? 0 : nextSeq_ - 1; }
-
-    /**
-     * After a snapshot recorded lastWalSeq, seed the counter so new
-     * appends continue above it even though the file was truncated.
-     */
-    void bumpSeqPast(uint64_t last_seq);
-
-    const std::filesystem::path &path() const { return path_; }
-
-    /**
-     * True once any I/O through the Env failed (the fsync gate): the
-     * log is poisoned, every mutating call throws DiskFault, and the
-     * owner must recover from the last durable state by rebuilding.
-     */
-    bool diskFaulted() const { return env_->faulted(); }
-
-    /** Site of the latched disk fault ("" when healthy). */
-    std::string diskFaultSite() const { return env_->faultSite(); }
-
-    Env &env() { return *env_; }
 
     /** Read-only scan (used by `nazar_ops wal` and recovery). */
     static WalScan scan(const std::filesystem::path &path);
@@ -201,7 +189,8 @@ class Wal
     SyncMode sync_ = SyncMode::kFlush;
     uint64_t nextSeq_ = 1;
     uint64_t truncatedBytes_ = 0;
-    std::vector<WalRecord> records_;
+    /** Each record's frame is built here; capacity kept. */
+    Writer frame_;
 };
 
 } // namespace nazar::persist

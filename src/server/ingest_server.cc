@@ -497,25 +497,20 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
         obs::recordSpan(queueWaitSite, item.enqueueTime, tDequeue,
                         ingestContext(item.ingest));
 
-    std::vector<sim::IngestMessage> msgs;
-    msgs.reserve(batch.size());
-    for (auto &item : batch) {
-        sim::IngestMessage m;
-        m.device = static_cast<int>(item.ingest.device);
-        m.seq = item.ingest.seq;
-        m.entry = std::move(item.ingest.entry);
-        m.upload = std::move(item.ingest.upload);
-        msgs.push_back(std::move(m));
-    }
+    msgs_.clear();
+    for (auto &item : batch)
+        msgs_.push_back({static_cast<int>(item.ingest.device),
+                         item.ingest.seq, &item.ingest.entry,
+                         std::move(item.ingest.upload), false});
     auto tEncoded = std::chrono::steady_clock::now();
-    std::vector<bool> accepted = cloud_.ingestBatchFrom(std::move(msgs));
+    cloud_.ingestBatchFrom(msgs_);
     auto tCommitted = std::chrono::steady_clock::now();
     for (const auto &item : batch) {
         obs::TraceContext ctx = ingestContext(item.ingest);
         obs::recordSpan(encodeSite, tDequeue, tEncoded, ctx);
         obs::recordSpan(walSyncSite, tEncoded, tCommitted, ctx);
     }
-    sendAcks(batch, accepted);
+    sendAcks(batch);
     {
         std::lock_guard<std::mutex> lk(statsMutex_);
         stats_.ingestMessages += batch.size();
@@ -527,8 +522,7 @@ IngestServer::commitBatch(std::vector<WorkItem> &batch)
 }
 
 void
-IngestServer::sendAcks(const std::vector<WorkItem> &batch,
-                       const std::vector<bool> &accepted)
+IngestServer::sendAcks(const std::vector<WorkItem> &batch)
 {
     static obs::SpanSite ackSite("server.ack");
     // Gather each connection's frames in queue order, then write each
@@ -552,7 +546,7 @@ IngestServer::sendAcks(const std::vector<WorkItem> &batch,
         net::WireAck ack;
         ack.device = batch[i].ingest.device;
         ack.seq = batch[i].ingest.seq;
-        ack.accepted = accepted[i];
+        ack.accepted = msgs_[i].accepted;
         net::appendFrame(ackGroups_[conn.ackGroup].frames, MsgType::kAck,
                          net::encodeAck(ack));
     }

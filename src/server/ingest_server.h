@@ -13,9 +13,9 @@
  *                   state), and enqueues WorkItems. Never touches the
  *                   Cloud.
  *   committer       one. Sole consumer of the queue and SOLE writer
- *                   into the Cloud — this is the single-writer
- *                   contract Cloud::ingestBatchFrom requires for its
- *                   out-of-lock WAL appends. Greedily batches
+ *                   into the Cloud — the single writer a persisted
+ *                   Cloud's ingest requires for its out-of-lock WAL
+ *                   appends. Greedily batches
  *                   consecutive kIngest items (across connections) up
  *                   to maxBatch and group-commits them with one WAL
  *                   sync, then writes each connection's kAcks of the
@@ -105,8 +105,8 @@ struct ServerConfig
     /**
      * Largest group-commit batch the committer will assemble: one
      * Cloud::ingestBatchFrom call, so one WAL sync, per batch. 1 =
-     * one sync per record, the configuration group commit is
-     * benchmarked against.
+     * one sync per record (the same path Cloud::ingestFrom takes),
+     * the configuration group commit is benchmarked against.
      */
     size_t maxBatch = 256;
     /**
@@ -255,10 +255,9 @@ class IngestServer
      *  per connection. */
     void commitBatch(std::vector<WorkItem> &batch);
 
-    /** Send @p batch's acks: each connection's frames, in queue order,
-     *  in one write under its writeMutex. */
-    void sendAcks(const std::vector<WorkItem> &batch,
-                  const std::vector<bool> &accepted);
+    /** Send @p batch's acks (verdicts in msgs_): each connection's
+     *  frames, in queue order, in one write under its writeMutex. */
+    void sendAcks(const std::vector<WorkItem> &batch);
     void handleCycle(const WorkItem &item);
     void handleFlush(const WorkItem &item);
     void handleBye(const WorkItem &item);
@@ -309,6 +308,9 @@ class IngestServer
     std::vector<std::shared_ptr<Conn>> conns_;
     uint64_t nextConnId_ = 1;
 
+    /** Committer-only: the batch handed to Cloud::ingestBatchFrom,
+     *  which also returns the verdicts; reused batch after batch. */
+    std::vector<sim::IngestMessage> msgs_;
     /** Committer-only ack scratch, reused batch after batch. */
     std::vector<AckGroup> ackGroups_;
     uint64_t ackBatches_ = 0;

@@ -62,20 +62,20 @@ Cloud::adoptRecovered(persist::RecoveredState &st)
 }
 
 void
-Cloud::ingestLocked(const driftlog::DriftLogEntry &entry,
-                    std::optional<Upload> upload)
-{
-    driftLog_.add(entry);
-    ++totalIngested_;
-    if (upload.has_value())
-        uploads_.push_back(std::move(*upload));
-}
-
-void
 Cloud::ingest(const driftlog::DriftLogEntry &entry,
               std::optional<Upload> upload)
 {
     ingestFrom(/*device=*/-1, /*seq=*/0, entry, std::move(upload));
+}
+
+bool
+Cloud::ingestFrom(int device, uint64_t seq,
+                  const driftlog::DriftLogEntry &entry,
+                  std::optional<Upload> upload)
+{
+    IngestMessage m{device, seq, &entry, std::move(upload), false};
+    ingestBatchFrom({&m, 1});
+    return m.accepted;
 }
 
 bool
@@ -97,89 +97,42 @@ Cloud::dedupAcceptLocked(int device, uint64_t seq)
     return true;
 }
 
-bool
-Cloud::ingestFrom(int device, uint64_t seq,
-                  const driftlog::DriftLogEntry &entry,
-                  std::optional<Upload> upload)
+void
+Cloud::ingestBatchFrom(std::span<IngestMessage> batch)
 {
     static obs::Counter &rows =
         obs::Registry::global().counter("sim.ingest.rows");
     static obs::Counter &uploads =
         obs::Registry::global().counter("sim.uploads");
 
-    std::lock_guard<std::mutex> lk(ingestMutex_);
     if (persist_) {
-        // Log the *attempt* before the dedup check: replay re-runs the
-        // dedup logic, so accepted rows, rejected duplicates, and the
-        // per-device windows are all reproduced exactly.
-        persist_->logIngest(
-            device, seq, entry, upload ? &upload->features : nullptr,
-            upload ? &upload->context : nullptr,
-            upload ? upload->driftFlag : false);
-    }
-    if (device >= 0 && !dedupAcceptLocked(device, seq)) {
-        maybeSnapshotLocked();
-        return false;
-    }
-    rows.add(1);
-    if (upload.has_value())
-        uploads.add(1);
-    ingestLocked(entry, std::move(upload));
-    maybeSnapshotLocked();
-    return true;
-}
-
-std::vector<bool>
-Cloud::ingestBatchFrom(std::vector<IngestMessage> batch)
-{
-    static obs::Counter &rows =
-        obs::Registry::global().counter("sim.ingest.rows");
-    static obs::Counter &uploads =
-        obs::Registry::global().counter("sim.uploads");
-    static obs::Counter &batches =
-        obs::Registry::global().counter("sim.ingest.batches");
-
-    std::vector<bool> accepted(batch.size(), false);
-    if (batch.empty())
-        return accepted;
-    batches.add(1);
-    if (persist_) {
-        // Group commit: every attempt of the batch becomes durable
-        // with a single sync, before the ingest lock is touched
-        // (WAL-first still holds — durability precedes the apply).
-        // logIngestBatch times its append and fsync stages itself.
-        std::vector<std::string> payloads;
-        {
-            NAZAR_SPAN("persist.wal.encode");
-            payloads.reserve(batch.size());
-            for (const auto &m : batch) {
-                const auto *up = m.upload ? &*m.upload : nullptr;
-                payloads.push_back(
-                    persist::CloudPersistence::encodeIngest(
-                        m.device, m.seq, m.entry,
-                        up ? &up->features : nullptr,
-                        up ? &up->context : nullptr,
-                        up ? up->driftFlag : false));
-            }
-        }
-        persist_->logIngestBatch(payloads);
+        // Log every *attempt* before the dedup check and the apply:
+        // replay re-runs the dedup logic, so accepted rows, rejected
+        // duplicates, and the per-device windows are all reproduced
+        // exactly. logIngestBatch times its own stages.
+        persist_->logIngestBatch(batch);
     }
     std::lock_guard<std::mutex> lk(ingestMutex_);
     {
-        NAZAR_SPAN("cloud.apply");
-        for (size_t i = 0; i < batch.size(); ++i) {
-            auto &m = batch[i];
-            if (!dedupAcceptLocked(m.device, m.seq))
+        std::optional<obs::ScopedSpan> apply;
+        if (persist_) {
+            static obs::SpanSite applySite("cloud.apply");
+            apply.emplace(applySite);
+        }
+        for (auto &m : batch) {
+            m.accepted = m.device < 0 || dedupAcceptLocked(m.device, m.seq);
+            if (!m.accepted)
                 continue;
             rows.add(1);
-            if (m.upload.has_value())
+            driftLog_.add(*m.entry);
+            ++totalIngested_;
+            if (m.upload.has_value()) {
                 uploads.add(1);
-            ingestLocked(m.entry, std::move(m.upload));
-            accepted[i] = true;
+                uploads_.push_back(std::move(*m.upload));
+            }
         }
     }
     maybeSnapshotLocked();
-    return accepted;
 }
 
 data::Dataset

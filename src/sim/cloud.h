@@ -13,6 +13,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "adapt/tent.h"
@@ -33,14 +34,8 @@ namespace nazar::sim {
  */
 using Upload = persist::UploadRecord;
 
-/** One sequenced ingest attempt, as batched by the ingest server. */
-struct IngestMessage
-{
-    int device = 0;
-    uint64_t seq = 0;
-    driftlog::DriftLogEntry entry;
-    std::optional<Upload> upload;
-};
+/** One sequenced ingest attempt; the WAL's kIngest record holds it. */
+using IngestMessage = persist::IngestMessage;
 
 /** Cloud-side configuration. */
 struct CloudConfig
@@ -99,42 +94,47 @@ class Cloud
     Cloud(CloudConfig config, const nn::Classifier &base);
 
     /**
-     * Ingest one drift-log entry and optionally its sampled input.
-     * Thread-safe: concurrent emitters (fleet shards) serialize on an
-     * internal mutex. Callers needing a deterministic log order must
-     * order their calls themselves (sim::Runner buffers per shard and
-     * emits in event order).
+     * Ingest one drift-log entry and optionally its sampled input: a
+     * one-message ingestBatchFrom() that skips the dedup window.
+     * Callers needing a deterministic log order must order their
+     * calls themselves (sim::Runner buffers per shard and emits in
+     * event order).
      */
     void ingest(const driftlog::DriftLogEntry &entry,
                 std::optional<Upload> upload);
 
     /**
      * Idempotent ingest for messages arriving over an unreliable
-     * channel: @p seq is the sender's per-device monotone sequence
-     * number. Duplicate (retried or duplicated-in-flight) messages
-     * are dropped against a bounded per-device dedup window and
-     * counted in `net.dedup_hits`. Returns true when the entry was
-     * accepted, false on a dedup hit. A negative @p device skips the
-     * dedup window: that is ingest(). Thread-safe like ingest().
+     * channel, as a one-message ingestBatchFrom(): @p seq is the
+     * sender's per-device monotone sequence number. Duplicate
+     * (retried or duplicated-in-flight) messages are dropped against
+     * a bounded per-device dedup window and counted in
+     * `net.dedup_hits`. Returns true when the entry was accepted,
+     * false on a dedup hit. A negative @p device skips the dedup
+     * window: that is ingest().
      */
     bool ingestFrom(int device, uint64_t seq,
                     const driftlog::DriftLogEntry &entry,
                     std::optional<Upload> upload);
 
     /**
-     * Group-committed batch of ingestFrom() calls: every attempt is
-     * appended to the WAL first with ONE sync for the whole batch
-     * (vs one per record), and the WAL work happens before the ingest
-     * lock is taken, so readers never stall behind an fsync. Dedup
-     * semantics per message are identical to ingestFrom(). Returns
-     * per-message acceptance (false = dedup hit).
+     * The one ingest path. Sets each message's `accepted` (false = a
+     * dedup hit) and moves accepted uploads out of @p batch. With
+     * persistence on, every attempt is appended to the WAL first
+     * with ONE sync for the whole batch, before the ingest lock is
+     * taken, so readers never stall behind an fsync.
      *
-     * Single-writer: callers must not overlap this with other
-     * ingest/cycle/flush calls — the ingest server's committer thread
-     * is the sole writer, which is what makes the out-of-lock WAL
-     * appends safe.
+     * Threading: without persistence, ingest is thread-safe —
+     * concurrent emitters (fleet shards) serialize on an internal
+     * mutex. With persistence, ingest has a single writer: callers
+     * must not overlap ingest, ingestFrom or ingestBatchFrom with
+     * each other or with cycle/flush/GC/checkpoint calls, which is
+     * what makes the out-of-lock WAL appends safe. Every persisted
+     * caller is one: the runner's in-order delivery, core::Nazar,
+     * and the ingest server's committer thread. Readers stay safe
+     * either way.
      */
-    std::vector<bool> ingestBatchFrom(std::vector<IngestMessage> batch);
+    void ingestBatchFrom(std::span<IngestMessage> batch);
 
     /**
      * Run one analysis + by-cause adaptation cycle over the entries
@@ -253,11 +253,6 @@ class Cloud
          *  assumed already ingested (conservative: rejected). */
         uint64_t floor = 0;
     };
-
-    /** Shared tail of ingestFrom()/ingestBatchFrom(); ingestMutex_
-     *  held. */
-    void ingestLocked(const driftlog::DriftLogEntry &entry,
-                      std::optional<Upload> upload);
 
     /**
      * Run one (device, seq) through the dedup window (ingestMutex_

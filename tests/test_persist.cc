@@ -295,7 +295,7 @@ TEST(WalTest, AppendScanRoundTrip)
 
     // Reopening resumes the sequence counter after the existing tail.
     Wal wal(log, &injector);
-    EXPECT_EQ(wal.records().size(), 3u);
+    EXPECT_EQ(wal.lastSeq(), 3u);
     EXPECT_EQ(wal.append(WalRecordType::kIngest, "gamma"), 4u);
 }
 
@@ -318,9 +318,12 @@ TEST(WalTest, TornTailIsTruncatedOnOpen)
     }
     Wal wal(log, &injector);
     EXPECT_GT(wal.truncatedBytes(), 0u);
-    ASSERT_EQ(wal.records().size(), 1u);
-    EXPECT_EQ(wal.records()[0].payload, "good record");
+    EXPECT_EQ(wal.lastSeq(), 1u);
     EXPECT_EQ(fs::file_size(log), good_size);
+    WalScan scan = Wal::scan(log);
+    EXPECT_EQ(scan.truncatedBytes, 0u);
+    ASSERT_EQ(scan.records.size(), 1u);
+    EXPECT_EQ(scan.records[0].payload, "good record");
     // The log stays appendable after truncation.
     EXPECT_EQ(wal.append(WalRecordType::kFlush, ""), 2u);
 }
@@ -1228,6 +1231,233 @@ TEST_F(PersistCloudTest, WalStartingAboveTheSnapshotIsRefused)
     EXPECT_THROW(sim::Cloud(config, scriptBase()), NazarError);
     EXPECT_FALSE(scrubStateDir(dir.path).ok);
     EXPECT_EQ(slurpBytes(wal), wal_bytes);
+}
+
+TEST_F(PersistCloudTest, WalGapIsRefusedBeforeTheTornTailIsCut)
+{
+    // A WAL that both starts above the snapshot's cut and ends in a
+    // torn tail: the open must refuse the gap before it cuts the
+    // tail, so a refused directory keeps every byte.
+    TempDir dir("wal_gap_torn");
+    const sim::CloudConfig config = snapshotThenWal(dir.path);
+    const fs::path wal = dir.path / "wal.log";
+    std::string bytes = slurpBytes(wal);
+    ASSERT_EQ(Wal::scan(wal).records.size(), 3u);
+    // Drop the first record (seq 11; the snapshot ends at 10), then
+    // append a frame header promising more bytes than follow.
+    const size_t head = sizeof(Wal::kMagic);
+    uint32_t first_len = 0;
+    for (int i = 0; i < 4; ++i)
+        first_len |= uint32_t(static_cast<unsigned char>(bytes[head + i]))
+                     << (8 * i);
+    bytes.erase(head, 8 + first_len);
+    bytes += std::string("\xFF\xFF\x00\x00partial", 11);
+    std::ofstream(wal, std::ios::binary | std::ios::trunc) << bytes;
+    WalScan scan = Wal::scan(wal);
+    ASSERT_EQ(scan.records.size(), 2u);
+    ASSERT_EQ(scan.records.front().seq, 12u);
+    ASSERT_GT(scan.truncatedBytes, 0u);
+
+    EXPECT_THROW(sim::Cloud(config, scriptBase()), NazarError);
+    EXPECT_EQ(slurpBytes(wal), bytes);
+    EXPECT_THROW(recoverDir(dir.path, /*dedup_window=*/8), NazarError);
+    EXPECT_FALSE(scrubStateDir(dir.path).ok);
+    EXPECT_EQ(slurpBytes(wal), bytes);
+}
+
+// ---- independent WAL oracle -----------------------------------------
+
+/**
+ * The WAL's bytes written out by hand, with neither persist::Writer
+ * nor the library's CRC: the NZWAL1 header, then per record
+ * [u32 len][u32 crc32(body)][body], body = [u8 type][u64 seq][payload],
+ * all little-endian, seqs counting from 1.
+ */
+struct WalOracle
+{
+    std::string bytes = std::string("NZWAL1\0\0", 8);
+    uint64_t seq = 0;
+
+    static void le(std::string &out, uint64_t v, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    }
+
+    static void str(std::string &out, const std::string &s)
+    {
+        le(out, s.size(), 8);
+        out += s;
+    }
+
+    static void f64(std::string &out, double v)
+    {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        le(out, bits, 8);
+    }
+
+    /** A tagged cell: [u8 type (null 0, int 1, double 2, bool 3,
+     *  string 4)][value]. */
+    static void value(std::string &out, const driftlog::Value &v)
+    {
+        switch (v.type()) {
+          case driftlog::ValueType::kNull:
+            out.push_back(0);
+            break;
+          case driftlog::ValueType::kInt:
+            out.push_back(1);
+            le(out, static_cast<uint64_t>(v.asInt()), 8);
+            break;
+          case driftlog::ValueType::kDouble:
+            out.push_back(2);
+            f64(out, v.asDouble());
+            break;
+          case driftlog::ValueType::kBool:
+            out.push_back(3);
+            out.push_back(v.asBool() ? 1 : 0);
+            break;
+          case driftlog::ValueType::kString:
+            out.push_back(4);
+            str(out, v.asString());
+            break;
+        }
+    }
+
+    /**
+     * kIngest payload: [u8 flags (1 = upload, 2 = from a device)]
+     * [i64 device][u64 seq][u32 day][u32 secondOfDay][str deviceId]
+     * [str deviceModel][str location][str weather][i64 modelVersion]
+     * [u8 drift], then with an upload [u64 n][n x f64 features]
+     * [u32 m][m x (str column, value)][u8 driftFlag].
+     */
+    static std::string ingest(int64_t device, uint64_t seq,
+                              const driftlog::DriftLogEntry &e,
+                              const std::optional<sim::Upload> &up)
+    {
+        std::string p;
+        p.push_back(static_cast<char>((up ? 1 : 0) | (device >= 0 ? 2 : 0)));
+        le(p, static_cast<uint64_t>(device), 8);
+        le(p, seq, 8);
+        le(p, static_cast<uint32_t>(e.time.dayIndex()), 4);
+        le(p, static_cast<uint32_t>(e.time.secondOfDay()), 4);
+        str(p, e.deviceId);
+        str(p, e.deviceModel);
+        str(p, e.location);
+        str(p, e.weather);
+        le(p, static_cast<uint64_t>(e.modelVersion), 8);
+        p.push_back(e.drift ? 1 : 0);
+        if (up) {
+            le(p, up->features.size(), 8);
+            for (double f : up->features)
+                f64(p, f);
+            le(p, up->context.size(), 4);
+            for (const auto &attr : up->context.attributes()) {
+                str(p, attr.column);
+                value(p, attr.value);
+            }
+            p.push_back(up->driftFlag ? 1 : 0);
+        }
+        return p;
+    }
+
+    /** Frame one record; returns its body length. */
+    size_t record(uint8_t type, const std::string &payload)
+    {
+        std::string body(1, static_cast<char>(type));
+        le(body, ++seq, 8);
+        body += payload;
+        le(bytes, body.size(), 4);
+        le(bytes, crc32Bytewise(body.data(), body.size()), 4);
+        bytes += body;
+        return body.size();
+    }
+};
+
+/** An upload whose features and context hit every awkward encoding. */
+sim::Upload
+awkwardUpload()
+{
+    sim::Upload up;
+    up.features = {std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::quiet_NaN(),
+                   -0.0,
+                   std::numeric_limits<double>::denorm_min(),
+                   -std::numeric_limits<double>::denorm_min() * 3,
+                   std::numeric_limits<double>::infinity(),
+                   1.5};
+    up.context = rca::AttributeSet({
+        {driftlog::columns::kWeather, driftlog::Value("snow")},
+        {"hour", driftlog::Value(int64_t{-7})},
+        {"temp", driftlog::Value(-0.0)},
+        {"indoor", driftlog::Value(true)},
+    });
+    up.driftFlag = true;
+    return up;
+}
+
+TEST_F(PersistCloudTest, WalBytesMatchHandWrittenEncoding)
+{
+    TempDir dir("wal_oracle");
+    sim::CloudConfig config = scriptConfig(dir.path.string(), 0);
+    config.persist.snapshotEvery = 0; // every record stays in the WAL
+    driftlog::DriftLogEntry long_strings = scriptEntry(4);
+    long_strings.location = "a location name past the SSO buffer";
+    long_strings.modelVersion = -3;
+    WalOracle oracle;
+    {
+        sim::Cloud cloud(config, scriptBase());
+        cloud.ingest(scriptEntry(0), awkwardUpload());
+        oracle.record(1, WalOracle::ingest(-1, 0, scriptEntry(0),
+                                           awkwardUpload()));
+        cloud.ingest(scriptEntry(1), std::nullopt);
+        oracle.record(1, WalOracle::ingest(-1, 0, scriptEntry(1),
+                                           std::nullopt));
+        EXPECT_TRUE(cloud.ingestFrom(2, 7, long_strings, scriptUpload(2)));
+        oracle.record(1, WalOracle::ingest(2, 7, long_strings,
+                                           scriptUpload(2)));
+        // A duplicate is logged as an attempt too.
+        EXPECT_FALSE(cloud.ingestFrom(2, 7, scriptEntry(3), std::nullopt));
+        oracle.record(1, WalOracle::ingest(2, 7, scriptEntry(3),
+                                           std::nullopt));
+        EXPECT_TRUE(cloud.ingestFrom(0, 1u << 20, scriptEntry(5),
+                                     awkwardUpload()));
+        oracle.record(1, WalOracle::ingest(0, 1u << 20, scriptEntry(5),
+                                           awkwardUpload()));
+        cloud.flush();
+        oracle.record(3, "");
+        EXPECT_EQ(cloud.gcRegistryBelow(5), 0u);
+        std::string floor;
+        WalOracle::le(floor, 5, 8);
+        oracle.record(4, floor);
+    }
+    EXPECT_EQ(slurpBytes(dir.path / "wal.log"), oracle.bytes);
+
+    // A crash armed at a record's first site leaves the header, the
+    // records before it, and its frame header plus half its body
+    // (rounded up) on disk.
+    for (uint64_t hit : {1u, 3u}) {
+        SCOPED_TRACE(hit);
+        TempDir torn_dir("wal_oracle_torn");
+        WalOracle want;
+        size_t body = want.record(
+            1, WalOracle::ingest(-1, 0, scriptEntry(0), awkwardUpload()));
+        if (hit == 3)
+            body = want.record(1, WalOracle::ingest(-1, 0, scriptEntry(1),
+                                                    std::nullopt));
+        const size_t torn = want.bytes.size() - body + (body + 1) / 2;
+        sim::Cloud cloud(scriptConfig(torn_dir.path.string(), hit),
+                         scriptBase());
+        try {
+            cloud.ingest(scriptEntry(0), awkwardUpload());
+            cloud.ingest(scriptEntry(1), std::nullopt);
+            ADD_FAILURE() << "the armed crash never fired";
+        } catch (const CrashInjected &e) {
+            EXPECT_EQ(e.site(), "wal.append.partial");
+        }
+        EXPECT_EQ(slurpBytes(torn_dir.path / "wal.log"),
+                  want.bytes.substr(0, torn));
+    }
 }
 
 /**
