@@ -179,6 +179,16 @@ EOF
         echo "persist determinism: newest snapshot differs across" \
              "threads" >&2
         exit 1; }
+    # The recovered view is part of the identity too. Each directory is
+    # recovered as "." so the printed path is the same.
+    for threads in 1 4; do
+        (cd "build-ci/persist_t$threads" &&
+            ../tools/nazar_ops recover . > "../persist_t$threads.recover")
+    done
+    cmp build-ci/persist_t1.recover build-ci/persist_t4.recover || {
+        echo "persist determinism: recovered state differs across" \
+             "threads" >&2
+        exit 1; }
     # Disk-fault smoke: a sim with an injected mid-run ENOSPC on the
     # WAL write path must latch the fsync gate (not crash), rebuild
     # from the last durable state, finish every window, and leave a

@@ -91,6 +91,14 @@ ModelRegistry::publish(ModelVersion version)
     return version.id;
 }
 
+void
+ModelRegistry::restore(int64_t id, std::string meta, std::string patch)
+{
+    nextId_ = std::max(nextId_, id + 1);
+    store_->put(metaKey(id), std::move(meta));
+    store_->put(patchKey(id), std::move(patch));
+}
+
 ModelVersion
 ModelRegistry::fetch(int64_t id) const
 {

@@ -40,6 +40,12 @@ class BlobStore
 
     size_t blobCount() const { return blobs_.size(); }
 
+    /** Every (key, bytes) pair, sorted by key. */
+    auto begin() const { return blobs_.begin(); }
+    auto end() const { return blobs_.end(); }
+
+    bool operator==(const BlobStore &other) const = default;
+
     /** Total stored bytes (the deployment-cost metric). */
     size_t totalBytes() const;
 
@@ -62,6 +68,12 @@ class ModelRegistry
      * @return The version id.
      */
     int64_t publish(ModelVersion version);
+
+    /**
+     * Store a version's blobs exactly as publish() wrote them (WAL
+     * replay of a committed cycle).
+     */
+    void restore(int64_t id, std::string meta, std::string patch);
 
     /** Reconstruct a published version; throws when unknown. */
     ModelVersion fetch(int64_t id) const;

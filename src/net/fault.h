@@ -58,8 +58,6 @@ struct FaultConfig
     /** Per-device send-queue bound; oldest entries are shed when full
      *  (0 = unbounded). */
     size_t queueCapacity = 0;
-    /** Per-device sequence numbers the cloud remembers for dedup. */
-    size_t dedupWindow = 4096;
 
     /** Fault RNG seed — an independent stream from the workload RNG. */
     uint64_t seed = 0x5eedf00dULL;

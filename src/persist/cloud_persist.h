@@ -1,13 +1,24 @@
 /**
  * @file
  * Durable cloud state: the WAL + snapshot orchestrator sim::Cloud
- * plugs into, plus standalone recovery for tools and tests.
+ * plugs into, the mutations of the state, and standalone recovery for
+ * tools and tests.
+ *
+ * One state, one apply path: the cloud's durable state is one
+ * CloudState (snapshot.h). sim::Cloud owns it, CloudPersistence
+ * recovers straight into it, and writeSnapshot encodes it where it
+ * lies. Every mutation goes through one function here — applyIngest,
+ * applyFlush, applyRegistryGc — which the live cloud calls as it
+ * ingests and WAL replay calls as it re-reads the log, so replay
+ * reproduces the live state by construction. Blob keys are the
+ * registry's business (deploy::ModelRegistry); nothing here spells
+ * them.
  *
  * Protocol (WAL-first):
  *
  *  - Every ingest *attempt* (accepted or deduped) is appended as a
- *    kIngest record before the in-memory apply. Replay re-runs the
- *    dedup logic, so accepted rows, rejected duplicates, and the
+ *    kIngest record before the in-memory apply. Replay re-runs
+ *    applyIngest, so accepted rows, rejected duplicates, and the
  *    per-device windows are all reproduced exactly.
  *  - A completed runCycle appends one atomic kCycleCommit record
  *    carrying the published version blobs, the new counters, and the
@@ -15,7 +26,7 @@
  *    never written) rolls back wholesale on recovery: the claimed
  *    buffers reappear and the cycle re-runs deterministically,
  *    producing identical version ids.
- *  - Baseline flushes append kFlush.
+ *  - Baseline flushes append kFlush; registry GCs append kRegistryGc.
  *  - Every snapshotEvery appends, the full state is snapshotted
  *    (rename-on-commit) and the WAL is truncated; the snapshot's
  *    lastWalSeq makes replay idempotent across every crash point in
@@ -31,7 +42,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -67,30 +77,26 @@ struct PersistConfig
     bool enabled() const { return !dir.empty(); }
 };
 
-/** Everything recovery reconstructs from snapshot + WAL replay. */
-struct RecoveredState
+/** Default per-device dedup window (sim::CloudConfig's default too). */
+inline constexpr size_t kDefaultDedupWindow = 4096;
+
+/** How a recovery went, beside the state it rebuilt. */
+struct RecoveryStats
 {
-    driftlog::DriftLog log;            ///< Pending (unanalyzed) rows.
-    std::vector<UploadRecord> uploads; ///< Pending upload buffer.
-    std::map<int64_t, DedupWindow> dedup;
-    uint64_t dedupHits = 0;
-    uint64_t totalIngested = 0;
-    int64_t nextVersionId = 1;
-    int64_t logicalTime = 0;
-    /** Registry blob store contents, key -> bytes. */
-    std::vector<std::pair<std::string, std::string>> blobs;
-    std::optional<std::string> cleanPatchText;
-    int64_t cleanPatchTime = 0;
-    uint64_t lastWalSeq = 0;
     bool snapshotLoaded = false;
     uint64_t replayedRecords = 0;
     uint64_t truncatedBytes = 0; ///< Torn WAL tail dropped on open.
 };
 
+/** What recoverDir returns: the rebuilt state and how it went. */
+struct RecoveredState : CloudState, RecoveryStats
+{
+};
+
 /**
  * One sequenced ingest attempt: what a kIngest WAL record holds and
- * what sim::Cloud applies. A negative `device` skips the dedup window
- * (sim::Cloud::ingest).
+ * what applyIngest applies. A negative `device` skips the dedup
+ * window (sim::Cloud::ingest).
  */
 struct IngestMessage
 {
@@ -103,6 +109,23 @@ struct IngestMessage
     bool accepted = false;
 };
 
+/**
+ * Apply one ingest attempt to @p state: run a device's seq (device
+ * >= 0) through its dedup window of @p dedup_window seqs, and on
+ * acceptance append the row and move the upload in. Returns false on
+ * a dedup hit, which is counted in state.dedupHits.
+ */
+bool applyIngest(CloudState &state, IngestMessage &m, size_t dedup_window);
+
+/** Apply a flush: archive the pending rows and uploads unanalyzed. */
+void applyFlush(CloudState &state);
+
+/**
+ * Apply a registry GC: evict every version with id < @p min_version_id
+ * from the blob store. Returns the number of versions evicted.
+ */
+size_t applyRegistryGc(CloudState &state, int64_t min_version_id);
+
 /** The blobs one published version wrote to the registry store. */
 struct VersionBlobs
 {
@@ -113,19 +136,21 @@ struct VersionBlobs
 
 /**
  * Read-only recovery: load the newest valid snapshot and replay the
- * WAL records above its cut. Used by `nazar_ops recover` and by
- * tests; the CloudPersistence constructor runs the same steps before
- * it changes any file. Throws NazarError, touching nothing, when
- * @p dir holds a file this build cannot read but whose contents no
- * other file holds (a pre-chain `snapshot.bin`, a `snap-<id>.delta`,
- * or a newest `snap-<id>.full` failing its header or CRC check), or
- * when the WAL starts above the snapshot's cut.
+ * WAL records above its cut through the apply functions. Used by
+ * `nazar_ops recover` and by tests; the CloudPersistence constructor
+ * runs the same steps before it changes any file. Throws NazarError,
+ * touching nothing, when @p dir holds a file this build cannot read
+ * but whose contents no other file holds (a pre-chain `snapshot.bin`,
+ * a `snap-<id>.delta`, or a newest `snap-<id>.full` failing its
+ * header or CRC check or its decode), when the WAL cannot be read, or
+ * when the WAL starts above the snapshot's cut. Each of these is
+ * checked in one place, which scrubStateDir shares.
  *
  * @param dedup_window Dedup window size to replay ingests with; must
  *                     match the CloudConfig the WAL was written under.
  */
 RecoveredState recoverDir(const std::filesystem::path &dir,
-                          size_t dedup_window = 4096);
+                          size_t dedup_window = kDefaultDedupWindow);
 
 /** What `nazar_ops scrub` reports about a state directory. */
 struct ScrubReport
@@ -142,11 +167,11 @@ struct ScrubReport
 };
 
 /**
- * Offline, read-only integrity walk of a state directory: verifies
- * the WAL's record CRCs and seq monotonicity, every snapshot file's
- * header + payload CRC, and that the newest snapshot decodes. A
- * `snapshot.bin` or `snap-<id>.delta` is an issue (recovery refuses
- * the directory). Never modifies anything.
+ * Offline, read-only integrity walk of a state directory: every
+ * refusal recoverDir would throw is an issue (all of them, not only
+ * the first), and so are a WAL without a valid header and a
+ * superseded snapshot file failing its header or CRC check. Never
+ * modifies anything.
  */
 ScrubReport scrubStateDir(const std::filesystem::path &dir);
 
@@ -156,19 +181,18 @@ class CloudPersistence
   public:
     /**
      * Open (creating if needed) the state directory and recover it
-     * with recoverDir's read-only steps; only then open the WAL for
-     * append (cutting a torn tail) and remove `.tmp` orphans, so a
-     * refused directory is left byte for byte as it was. The WAL is
-     * read once. @p dedup_window must match the owning cloud's config
-     * so replayed ingests dedup identically.
+     * into @p state (a default-constructed one) with recoverDir's
+     * read-only steps; only then open the WAL for append (cutting a
+     * torn tail) and remove `.tmp` orphans, so a refused directory is
+     * left byte for byte as it was. The WAL is read once.
+     * @p dedup_window must match the owning cloud's config so replayed
+     * ingests dedup identically.
      */
-    CloudPersistence(const PersistConfig &config, size_t dedup_window);
+    CloudPersistence(const PersistConfig &config, size_t dedup_window,
+                     CloudState &state);
 
-    /** State recovered at open; Cloud consumes it in its constructor. */
-    RecoveredState &recovered() { return recovered_; }
-
-    /** Free the recovered buffers once the owner has adopted them. */
-    void dropRecovered() { recovered_ = RecoveredState{}; }
+    /** How the recovery at open went. */
+    const RecoveryStats &recovery() const { return recovery_; }
 
     /**
      * Log ingest attempts (WAL-first: call before applying): every
@@ -176,39 +200,39 @@ class CloudPersistence
      * sync. A one-message batch is exactly a per-record append. A
      * crash mid-batch leaves at most a torn tail; records before the
      * tear replay, the rest were never acknowledged. Callers must
-     * serialize against other WAL writers.
+     * serialize against other WAL writers. Every log* call returns
+     * the seq of the last record it appended.
      */
-    void logIngestBatch(std::span<const IngestMessage> batch);
+    uint64_t logIngestBatch(std::span<const IngestMessage> batch);
 
     /** Log one committed cycle (call after publishing to the store). */
-    void logCycleCommit(int64_t logical_time, int64_t next_version_id,
+    uint64_t logCycleCommit(int64_t logical_time, int64_t next_version_id,
                         const std::vector<VersionBlobs> &versions,
                         const std::optional<std::string> &clean_patch_text,
                         int64_t clean_patch_time);
 
     /** Log one baseline flush (buffers cleared without analysis). */
-    void logFlush();
+    uint64_t logFlush();
 
     /**
      * Log a registry GC floor: versions with id < @p min_version_id
      * are evicted from the blob store. WAL-first — call before
      * evicting in memory so replay reproduces the eviction.
      */
-    void logRegistryGc(int64_t min_version_id);
+    uint64_t logRegistryGc(int64_t min_version_id);
 
     /** True when enough appends accumulated to warrant a snapshot. */
     bool snapshotDue() const;
 
     /**
-     * Write a snapshot (rename-on-commit), truncate the WAL, and GC
-     * every older snapshot file (safety invariant: the committed
-     * snapshot plus the WAL is the whole recovery state, so
-     * everything older is removable). data.lastWalSeq is filled in
-     * from the WAL; the rest of @p data is only read. The caller owns
-     * the `persist.snapshot` span, so it can cover the state capture
-     * too.
+     * Write a snapshot of @p state (rename-on-commit), encoded where
+     * it lies, then truncate the WAL and GC every older snapshot file
+     * (safety invariant: the committed snapshot plus the WAL is the
+     * whole recovery state, so everything older is removable).
+     * state.lastWalSeq is set from the WAL; the rest is only read.
+     * Times itself as `persist.snapshot`.
      */
-    void writeSnapshot(SnapshotData &data);
+    void writeSnapshot(CloudState &state);
 
     /** True once any I/O failed: the fsync gate is latched. */
     bool diskFaulted() const { return env_.faulted(); }
@@ -239,7 +263,7 @@ class CloudPersistence
     CrashInjector injector_;
     Env env_;
     std::unique_ptr<Wal> wal_;
-    RecoveredState recovered_;
+    RecoveryStats recovery_;
     uint64_t appendsSince_ = 0;
     uint64_t chainHeadId_ = 0;
     uint64_t snapshotGcRemoved_ = 0;

@@ -117,7 +117,7 @@ commitChainFile(const fs::path &dir, uint64_t id, Writer &file,
 } // namespace
 
 void
-encodeSnapshot(Writer &w, const SnapshotData &data)
+encodeSnapshot(Writer &w, const CloudState &data)
 {
     w.putU64(kSnapshotFormatTag);
     w.putU64(data.lastWalSeq);
@@ -137,7 +137,7 @@ encodeSnapshot(Writer &w, const SnapshotData &data)
         for (uint64_t seq : window.seen)
             w.putU64(seq);
     }
-    w.putU64(data.blobs.size());
+    w.putU64(data.blobs.blobCount());
     for (const auto &[key, blob] : data.blobs) {
         w.putString(key);
         w.putString(blob);
@@ -150,14 +150,14 @@ encodeSnapshot(Writer &w, const SnapshotData &data)
 }
 
 std::string
-encodeSnapshot(const SnapshotData &data)
+encodeSnapshot(const CloudState &data)
 {
     Writer w;
     encodeSnapshot(w, data);
     return w.take();
 }
 
-SnapshotData
+CloudState
 decodeSnapshot(const std::string &payload)
 {
     Reader r(payload);
@@ -172,7 +172,7 @@ decodeSnapshot(const std::string &payload)
                                "(payloads that carry the drift log "
                                "as CSV are not readable)");
     }
-    SnapshotData data;
+    CloudState data;
     data.lastWalSeq = r.getU64();
     data.logicalTime = r.getI64();
     data.nextVersionId = r.getI64();
@@ -191,16 +191,14 @@ decodeSnapshot(const std::string &payload)
         uint64_t seen = r.getU64();
         NAZAR_CHECK(seen * 8 <= r.remaining(),
                     "persist: dedup window exceeds snapshot");
-        window.seen.reserve(static_cast<size_t>(seen));
         for (uint64_t s = 0; s < seen; ++s)
-            window.seen.push_back(r.getU64());
+            window.seen.insert(window.seen.end(), r.getU64());
         data.dedup.emplace(device, std::move(window));
     }
     uint64_t blobs = r.getU64();
     for (uint64_t i = 0; i < blobs; ++i) {
         std::string key = r.getString();
-        std::string blob = r.getString();
-        data.blobs.emplace_back(std::move(key), std::move(blob));
+        data.blobs.put(key, r.getString());
     }
     if (r.getBool()) {
         data.cleanPatchText = r.getString();
@@ -247,7 +245,7 @@ writeChainFile(const fs::path &dir, const ChainHeader &header,
 
 void
 writeSnapshotFile(const fs::path &dir, const ChainHeader &header,
-                  const SnapshotData &data, Writer &buf,
+                  const CloudState &data, Writer &buf,
                   CrashInjector &injector, Env &env)
 {
     buf.clear();

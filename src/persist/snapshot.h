@@ -25,23 +25,45 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "deploy/registry.h"
 #include "persist/crash_point.h"
 #include "persist/env.h"
 #include "persist/serial.h"
 
 namespace nazar::persist {
 
-/** One per-device dedup window (mirror of Cloud::DedupState). */
+/**
+ * One device's dedup window: the last `capacity` sequence numbers
+ * accepted from it, plus a floor below which every seq counts as seen.
+ */
 struct DedupWindow
 {
     uint64_t floor = 0;
-    std::vector<uint64_t> seen; ///< Ascending sequence numbers.
+    std::set<uint64_t> seen; ///< Retained sequence numbers.
 
     bool operator==(const DedupWindow &other) const = default;
+
+    /**
+     * Admit @p seq unless it is a duplicate (below the floor or still
+     * retained); once more than @p capacity seqs are retained, the
+     * lowest ones are pruned and the floor rises past them. Returns
+     * false on a duplicate.
+     */
+    bool admit(uint64_t seq, size_t capacity)
+    {
+        if (seq < floor || !seen.insert(seq).second)
+            return false;
+        while (seen.size() > capacity) {
+            floor = *seen.begin() + 1;
+            seen.erase(seen.begin());
+        }
+        return true;
+    }
 
     /**
      * Highest sequence number this window accounts for: with
@@ -53,15 +75,22 @@ struct DedupWindow
     uint64_t highWater() const
     {
         if (!seen.empty())
-            return seen.back();
+            return *seen.rbegin();
         return floor > 0 ? floor - 1 : 0;
     }
 };
 
-/** Everything a snapshot captures. */
-struct SnapshotData
+/**
+ * The cloud's whole durable state, in the one shape every layer holds
+ * it: sim::Cloud owns one (guarded by its ingest mutex), recovery
+ * rebuilds one, and a snapshot file is one encoded where it lies. The
+ * mutations live and replayed alike go through the apply functions in
+ * cloud_persist.h.
+ */
+struct CloudState
 {
-    uint64_t lastWalSeq = 0; ///< Highest WAL seq already included.
+    /** Highest WAL seq applied to this state (0 without persistence). */
+    uint64_t lastWalSeq = 0;
     int64_t logicalTime = 0;
     int64_t nextVersionId = 1;
     uint64_t totalIngested = 0;
@@ -69,8 +98,8 @@ struct SnapshotData
     driftlog::DriftLog driftLog; ///< Pending drift-log rows.
     std::vector<UploadRecord> uploads;
     std::map<int64_t, DedupWindow> dedup;
-    /** Registry blob store, key -> bytes, sorted by key. */
-    std::vector<std::pair<std::string, std::string>> blobs;
+    /** The model registry's blob store. */
+    deploy::BlobStore blobs;
     std::optional<std::string> cleanPatchText; ///< BnPatch::save text.
     int64_t cleanPatchTime = 0; ///< logicalTime that produced it.
 };
@@ -79,19 +108,20 @@ struct SnapshotData
  * Append the payload bytes (no header/CRC — the file writer adds it)
  * to @p w. The payload opens with the 8-byte format tag
  * kSnapshotFormatTag ("NZIMG1\0\0"), then the counters, the drift
- * log's column image, and the rest of the state in SnapshotData order.
+ * log's column image, and the rest of the state in CloudState order
+ * (dedup seqs ascending, blobs by key).
  */
-void encodeSnapshot(Writer &w, const SnapshotData &data);
+void encodeSnapshot(Writer &w, const CloudState &data);
 
 /** The same payload as a string (tests, writeChainFile callers). */
-std::string encodeSnapshot(const SnapshotData &data);
+std::string encodeSnapshot(const CloudState &data);
 
 /**
  * Decode a payload; throws NazarError on malformed bytes, including a
  * payload without the column-image format tag (the earlier layout,
  * which carried the drift log as CSV text, is not read).
  */
-SnapshotData decodeSnapshot(const std::string &payload);
+CloudState decodeSnapshot(const std::string &payload);
 
 /** Format tag opening every full-snapshot payload: the little-endian
  *  u64 whose bytes spell "NZIMG1\0\0". */
@@ -158,7 +188,7 @@ void writeChainFile(const std::filesystem::path &dir,
  * it, and no fresh pages once the buffer has grown.
  */
 void writeSnapshotFile(const std::filesystem::path &dir,
-                       const ChainHeader &header, const SnapshotData &data,
+                       const ChainHeader &header, const CloudState &data,
                        Writer &buf, CrashInjector &injector, Env &env);
 
 /**

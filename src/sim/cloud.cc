@@ -20,44 +20,22 @@ Cloud::Cloud(CloudConfig config, const nn::Classifier &base)
     if (config_.rca.attributeColumns.empty())
         config_.rca.attributeColumns =
             driftlog::DriftLog::defaultAttributeColumns();
-    if (config_.persist.enabled()) {
-        persist_ = std::make_unique<persist::CloudPersistence>(
-            config_.persist, config_.ingestDedupWindow);
-        adoptRecovered(persist_->recovered());
-        persist_->dropRecovered();
-    }
-}
-
-void
-Cloud::adoptRecovered(persist::RecoveredState &st)
-{
-    driftLog_ = std::move(st.log);
-    uploads_ = std::move(st.uploads);
-    dedup_.clear();
-    for (auto &[device, window] : st.dedup) {
-        DedupState state;
-        state.floor = window.floor;
-        state.seen.insert(window.seen.begin(), window.seen.end());
-        dedup_[static_cast<int>(device)] = std::move(state);
-    }
-    dedupHits_ = st.dedupHits;
-    totalIngested_ = st.totalIngested;
-    nextVersionId_ = st.nextVersionId;
-    logicalTime_ = st.logicalTime;
-    for (auto &[key, bytes] : st.blobs)
-        blobStore_.put(key, std::move(bytes));
-    if (st.cleanPatchText.has_value()) {
-        std::istringstream is(*st.cleanPatchText);
+    if (!config_.persist.enabled())
+        return;
+    persist_ = std::make_unique<persist::CloudPersistence>(
+        config_.persist, config_.ingestDedupWindow, state_);
+    if (state_.cleanPatchText.has_value()) {
+        std::istringstream is(*state_.cleanPatchText);
         recoveredCleanPatch_ = nn::BnPatch::load(is);
-        recoveredCleanPatchTime_ = st.cleanPatchTime;
-        lastCleanPatchText_ = std::move(st.cleanPatchText);
-        lastCleanPatchTime_ = st.cleanPatchTime;
+        recoveredCleanPatchTime_ = state_.cleanPatchTime;
     }
-    if (st.snapshotLoaded || st.replayedRecords > 0) {
-        logInfo() << "cloud recovered: " << driftLog_.size()
-                  << " pending rows, " << uploads_.size()
-                  << " uploads, logical time " << logicalTime_ << ", "
-                  << st.replayedRecords << " WAL records replayed";
+    const persist::RecoveryStats &rec = persist_->recovery();
+    if (rec.snapshotLoaded || rec.replayedRecords > 0) {
+        logInfo() << "cloud recovered: " << state_.driftLog.size()
+                  << " pending rows, " << state_.uploads.size()
+                  << " uploads, logical time " << state_.logicalTime
+                  << ", " << rec.replayedRecords
+                  << " WAL records replayed";
     }
 }
 
@@ -78,25 +56,6 @@ Cloud::ingestFrom(int device, uint64_t seq,
     return m.accepted;
 }
 
-bool
-Cloud::dedupAcceptLocked(int device, uint64_t seq)
-{
-    static obs::Counter &dedup_hits =
-        obs::Registry::global().counter("net.dedup_hits");
-    DedupState &state = dedup_[device];
-    if (seq < state.floor || state.seen.count(seq) > 0) {
-        ++dedupHits_;
-        dedup_hits.add(1);
-        return false;
-    }
-    state.seen.insert(seq);
-    while (state.seen.size() > config_.ingestDedupWindow) {
-        state.floor = *state.seen.begin() + 1;
-        state.seen.erase(state.seen.begin());
-    }
-    return true;
-}
-
 void
 Cloud::ingestBatchFrom(std::span<IngestMessage> batch)
 {
@@ -104,13 +63,16 @@ Cloud::ingestBatchFrom(std::span<IngestMessage> batch)
         obs::Registry::global().counter("sim.ingest.rows");
     static obs::Counter &uploads =
         obs::Registry::global().counter("sim.uploads");
+    static obs::Counter &dedup_hits =
+        obs::Registry::global().counter("net.dedup_hits");
 
+    uint64_t wal_seq = 0;
     if (persist_) {
         // Log every *attempt* before the dedup check and the apply:
-        // replay re-runs the dedup logic, so accepted rows, rejected
+        // replay re-runs applyIngest, so accepted rows, rejected
         // duplicates, and the per-device windows are all reproduced
         // exactly. logIngestBatch times its own stages.
-        persist_->logIngestBatch(batch);
+        wal_seq = persist_->logIngestBatch(batch);
     }
     std::lock_guard<std::mutex> lk(ingestMutex_);
     {
@@ -118,18 +80,19 @@ Cloud::ingestBatchFrom(std::span<IngestMessage> batch)
         if (persist_) {
             static obs::SpanSite applySite("cloud.apply");
             apply.emplace(applySite);
+            state_.lastWalSeq = wal_seq;
         }
         for (auto &m : batch) {
-            m.accepted = m.device < 0 || dedupAcceptLocked(m.device, m.seq);
-            if (!m.accepted)
+            const bool has_upload = m.upload.has_value();
+            m.accepted =
+                persist::applyIngest(state_, m, config_.ingestDedupWindow);
+            if (!m.accepted) {
+                dedup_hits.add(1);
                 continue;
-            rows.add(1);
-            driftLog_.add(*m.entry);
-            ++totalIngested_;
-            if (m.upload.has_value()) {
-                uploads.add(1);
-                uploads_.push_back(std::move(*m.upload));
             }
+            rows.add(1);
+            if (has_upload)
+                uploads.add(1);
         }
     }
     maybeSnapshotLocked();
@@ -172,7 +135,7 @@ Cloud::allUploads() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
     data::DatasetBuilder builder;
-    for (const auto &up : uploads_)
+    for (const auto &up : state_.uploads)
         builder.add(up.features, /*label=*/-1);
     return builder.build();
 }
@@ -181,35 +144,35 @@ driftlog::DriftLog
 Cloud::driftLog() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    return driftLog_;
+    return state_.driftLog;
 }
 
 size_t
 Cloud::driftLogSize() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    return driftLog_.size();
+    return state_.driftLog.size();
 }
 
 size_t
 Cloud::uploadCount() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    return uploads_.size();
+    return state_.uploads.size();
 }
 
 size_t
 Cloud::dedupHits() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    return dedupHits_;
+    return state_.dedupHits;
 }
 
 size_t
 Cloud::totalIngested() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    return totalIngested_;
+    return state_.totalIngested;
 }
 
 void
@@ -221,11 +184,10 @@ Cloud::flush()
         obs::Registry::global().counter("sim.cloud.flushed.uploads");
     std::lock_guard<std::mutex> lk(ingestMutex_);
     if (persist_)
-        persist_->logFlush();
-    flushed_rows.add(driftLog_.size());
-    flushed_uploads.add(uploads_.size());
-    driftLog_.clear();
-    uploads_.clear();
+        state_.lastWalSeq = persist_->logFlush();
+    flushed_rows.add(state_.driftLog.size());
+    flushed_uploads.add(state_.uploads.size());
+    persist::applyFlush(state_);
     maybeSnapshotLocked();
 }
 
@@ -241,7 +203,7 @@ Cloud::runCycle(const nn::BnPatch &clean_patch)
         obs::Registry::global().counter("sim.cloud.adapt.skipped_causes");
 
     CycleResult result;
-    ++logicalTime_;
+    ++state_.logicalTime;
 
     // Claim this cycle's evidence under the ingest lock, then analyze
     // lock-free: concurrent ingest lands in the next cycle's buffers.
@@ -251,10 +213,10 @@ Cloud::runCycle(const nn::BnPatch &clean_patch)
     std::vector<Upload> uploads;
     {
         std::lock_guard<std::mutex> lk(ingestMutex_);
-        log = std::move(driftLog_);
-        driftLog_ = driftlog::DriftLog();
-        uploads = std::move(uploads_);
-        uploads_.clear();
+        log = std::move(state_.driftLog);
+        state_.driftLog = driftlog::DriftLog();
+        uploads = std::move(state_.uploads);
+        state_.uploads.clear();
     }
     archived_rows.add(log.size());
     archived_uploads.add(uploads.size());
@@ -271,7 +233,7 @@ Cloud::runCycle(const nn::BnPatch &clean_patch)
     result.rcaSeconds = rca_span.stop();
 
     const auto &causes = result.analysis.rootCauses;
-    logInfo() << "cloud cycle " << logicalTime_ << ": " << log.size()
+    logInfo() << "cloud cycle " << state_.logicalTime << ": " << log.size()
               << " entries, " << uploads.size() << " uploads, "
               << causes.size() << " root causes";
 
@@ -332,11 +294,11 @@ Cloud::runCycle(const nn::BnPatch &clean_patch)
     // path no matter how the jobs were scheduled.
     for (size_t j = 0; j < cause_jobs; ++j) {
         deploy::ModelVersion version;
-        version.id = nextVersionId_++;
+        version.id = state_.nextVersionId++;
         version.cause = jobs[j].cause->attrs;
         version.riskRatio = jobs[j].cause->metrics.riskRatio;
         version.patch = std::move(patches[j]);
-        version.updatedAt = logicalTime_;
+        version.updatedAt = state_.logicalTime;
         registry_.publish(version); // durably stored before deployment
         result.newVersions.push_back(std::move(version));
         result.adaptedSampleCount += jobs[j].samples.size();
@@ -357,22 +319,27 @@ Cloud::runCycle(const nn::BnPatch &clean_patch)
         for (const auto &version : result.newVersions) {
             blobs.push_back(
                 {version.id,
-                 blobStore_.get(deploy::ModelRegistry::metaKey(version.id)),
-                 blobStore_.get(
+                 state_.blobs.get(
+                     deploy::ModelRegistry::metaKey(version.id)),
+                 state_.blobs.get(
                      deploy::ModelRegistry::patchKey(version.id))});
         }
+        std::optional<std::string> clean_text;
         if (result.newCleanPatch.has_value()) {
             std::ostringstream patch_text;
             result.newCleanPatch->save(patch_text);
-            lastCleanPatchText_ = patch_text.str();
-            lastCleanPatchTime_ = logicalTime_;
+            clean_text = patch_text.str();
         }
-        persist_->logCycleCommit(logicalTime_, nextVersionId_, blobs,
-                                 result.newCleanPatch.has_value()
-                                     ? lastCleanPatchText_
-                                     : std::optional<std::string>(),
-                                 lastCleanPatchTime_);
+        const uint64_t wal_seq =
+            persist_->logCycleCommit(state_.logicalTime,
+                                     state_.nextVersionId, blobs,
+                                     clean_text, state_.logicalTime);
         std::lock_guard<std::mutex> lk(ingestMutex_);
+        state_.lastWalSeq = wal_seq;
+        if (clean_text.has_value()) {
+            state_.cleanPatchText = std::move(clean_text);
+            state_.cleanPatchTime = state_.logicalTime;
+        }
         maybeSnapshotLocked();
     }
     return result;
@@ -392,14 +359,14 @@ std::map<int64_t, persist::DedupWindow>
 Cloud::dedupSnapshot() const
 {
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    std::map<int64_t, persist::DedupWindow> out;
-    for (const auto &[device, state] : dedup_) {
-        persist::DedupWindow window;
-        window.floor = state.floor;
-        window.seen.assign(state.seen.begin(), state.seen.end());
-        out[device] = std::move(window);
-    }
-    return out;
+    return state_.dedup;
+}
+
+persist::CloudState
+Cloud::durableState() const
+{
+    std::lock_guard<std::mutex> lk(ingestMutex_);
+    return state_;
 }
 
 void
@@ -408,14 +375,14 @@ Cloud::checkpoint()
     if (!persist_)
         return;
     std::lock_guard<std::mutex> lk(ingestMutex_);
-    writeSnapshotLocked();
+    persist_->writeSnapshot(state_);
 }
 
 void
 Cloud::maybeSnapshotLocked()
 {
     if (persist_ && persist_->snapshotDue())
-        writeSnapshotLocked();
+        persist_->writeSnapshot(state_);
 }
 
 size_t
@@ -428,52 +395,13 @@ Cloud::gcRegistryBelow(int64_t min_version_id)
         // WAL-first, like every other mutation: the floor is durable
         // before the blobs disappear, so a crash between the two
         // replays the eviction instead of resurrecting dead versions.
-        persist_->logRegistryGc(min_version_id);
+        state_.lastWalSeq = persist_->logRegistryGc(min_version_id);
     }
-    size_t evicted = registry_.evictBelow(min_version_id);
+    size_t evicted = persist::applyRegistryGc(state_, min_version_id);
     if (evicted > 0)
         gc_evicted.add(evicted);
-    if (persist_)
-        maybeSnapshotLocked();
+    maybeSnapshotLocked();
     return evicted;
-}
-
-void
-Cloud::writeSnapshotLocked()
-{
-    NAZAR_SPAN("persist.snapshot");
-    persist::SnapshotData data;
-    data.logicalTime = logicalTime_;
-    data.nextVersionId = nextVersionId_;
-    data.totalIngested = totalIngested_;
-    data.dedupHits = dedupHits_;
-    // Lend the pending rows and uploads to the snapshot instead of
-    // copying them; they come back on every exit, the injected crash
-    // and disk-fault throws included.
-    data.driftLog = std::move(driftLog_);
-    data.uploads = std::move(uploads_);
-    struct GiveBack
-    {
-        Cloud &cloud;
-        persist::SnapshotData &data;
-
-        ~GiveBack()
-        {
-            cloud.driftLog_ = std::move(data.driftLog);
-            cloud.uploads_ = std::move(data.uploads);
-        }
-    } give_back{*this, data};
-    for (const auto &[device, state] : dedup_) {
-        persist::DedupWindow window;
-        window.floor = state.floor;
-        window.seen.assign(state.seen.begin(), state.seen.end());
-        data.dedup[device] = std::move(window);
-    }
-    for (const auto &key : blobStore_.list())
-        data.blobs.emplace_back(key, blobStore_.get(key));
-    data.cleanPatchText = lastCleanPatchText_;
-    data.cleanPatchTime = lastCleanPatchTime_;
-    persist_->writeSnapshot(data);
 }
 
 } // namespace nazar::sim

@@ -3,6 +3,14 @@
  * The Nazar cloud side (paper §3.3-§3.4, §4): drift-log ingestion,
  * periodic root-cause analysis, and by-cause adaptation producing
  * deployable model versions.
+ *
+ * The cloud's durable state — pending drift-log rows and uploads,
+ * dedup windows, the registry's blob store, counters and the last
+ * clean patch — is one persist::CloudState member. Ingest, flush and
+ * registry GC mutate it through persist's apply functions, the same
+ * ones WAL replay runs, and a snapshot encodes the member in place;
+ * with persistence on, the state directory is recovered straight into
+ * it at construction.
  */
 #ifndef NAZAR_SIM_CLOUD_H
 #define NAZAR_SIM_CLOUD_H
@@ -12,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -56,7 +63,7 @@ struct CloudConfig
      * rejected as duplicates, so at-least-once delivery counts each
      * drift row effectively once.
      */
-    size_t ingestDedupWindow = 4096;
+    size_t ingestDedupWindow = persist::kDefaultDedupWindow;
     /**
      * Crash-safe durability for the cloud's state (drift log, upload
      * buffer, dedup windows, registry, counters). Off by default
@@ -118,11 +125,12 @@ class Cloud
                     std::optional<Upload> upload);
 
     /**
-     * The one ingest path. Sets each message's `accepted` (false = a
-     * dedup hit) and moves accepted uploads out of @p batch. With
-     * persistence on, every attempt is appended to the WAL first
-     * with ONE sync for the whole batch, before the ingest lock is
-     * taken, so readers never stall behind an fsync.
+     * The one ingest path. Runs each message through
+     * persist::applyIngest (the function WAL replay runs), sets its
+     * `accepted` (false = a dedup hit) and moves accepted uploads out
+     * of @p batch. With persistence on, every attempt is appended to
+     * the WAL first with ONE sync for the whole batch, before the
+     * ingest lock is taken, so readers never stall behind an fsync.
      *
      * Threading: without persistence, ingest is thread-safe —
      * concurrent emitters (fleet shards) serialize on an internal
@@ -180,10 +188,10 @@ class Cloud
     size_t totalIngested() const;
 
     /** Next version id that will be assigned. */
-    int64_t nextVersionId() const { return nextVersionId_; }
+    int64_t nextVersionId() const { return state_.nextVersionId; }
 
     /** Completed analysis cycles (advances once per runCycle). */
-    int64_t logicalTime() const { return logicalTime_; }
+    int64_t logicalTime() const { return state_.logicalTime; }
 
     /**
      * All published versions with id > @p after_id, ascending. Used
@@ -209,8 +217,15 @@ class Cloud
         return recoveredCleanPatchTime_;
     }
 
-    /** Copy of the per-device dedup windows (for tests). Thread-safe. */
+    /** Copy of the per-device dedup windows. Thread-safe. */
     std::map<int64_t, persist::DedupWindow> dedupSnapshot() const;
+
+    /**
+     * Copy of the whole durable state (for tests). Thread-safe
+     * against concurrent ingest. cleanPatchText is kept only with
+     * persistence on.
+     */
+    persist::CloudState durableState() const;
 
     /**
      * Garbage-collect registry versions with id < @p min_version_id
@@ -239,38 +254,15 @@ class Cloud
     const deploy::ModelRegistry &registry() const { return registry_; }
 
     /** The blob store backing the registry. */
-    const deploy::BlobStore &blobStore() const { return blobStore_; }
+    const deploy::BlobStore &blobStore() const { return state_.blobs; }
 
     const CloudConfig &config() const { return config_; }
 
   private:
-    /** Per-device dedup window for the idempotent ingest path. */
-    struct DedupState
-    {
-        /** Sequence numbers still retained for duplicate detection. */
-        std::set<uint64_t> seen;
-        /** Everything below this was pruned from the window and is
-         *  assumed already ingested (conservative: rejected). */
-        uint64_t floor = 0;
-    };
-
-    /**
-     * Run one (device, seq) through the dedup window (ingestMutex_
-     * held). Returns false on a duplicate; true admits the seq into
-     * the window.
-     */
-    bool dedupAcceptLocked(int device, uint64_t seq);
-
-    /** Adopt the state a CloudPersistence recovered at open. */
-    void adoptRecovered(persist::RecoveredState &st);
-
-    /** Snapshot when due (ingestMutex_ held by the caller). */
+    /** Snapshot when due (ingestMutex_ held by the caller; the blob
+     *  store is safe to read because cycles never run concurrently
+     *  with ingest). */
     void maybeSnapshotLocked();
-
-    /** Build + write a snapshot of the full state (ingestMutex_ held;
-     *  blobStore_/registry_ are safe to read because cycles never run
-     *  concurrently with ingest in the runner). */
-    void writeSnapshotLocked();
 
     /** Collect uploads whose context matches a cause. */
     static data::Dataset uploadsMatching(
@@ -284,25 +276,18 @@ class Cloud
 
     CloudConfig config_;
     const nn::Classifier &base_;
-    /** Guards driftLog_, uploads_, dedup_, dedupHits_, totalIngested_. */
+    /** Guards state_, except that runCycle, which never overlaps
+     *  ingest, bumps logicalTime and nextVersionId and publishes to
+     *  the blob store without it; their accessors read unlocked. */
     mutable std::mutex ingestMutex_;
-    driftlog::DriftLog driftLog_;
-    std::vector<Upload> uploads_;
-    std::map<int, DedupState> dedup_;
-    size_t dedupHits_ = 0;
-    deploy::BlobStore blobStore_;
-    deploy::ModelRegistry registry_{blobStore_};
-    int64_t nextVersionId_ = 1;
-    int64_t logicalTime_ = 0;
-    size_t totalIngested_ = 0;
+    /** The durable state; cleanPatchText is kept only with
+     *  persistence on. */
+    persist::CloudState state_;
+    deploy::ModelRegistry registry_{state_.blobs};
     /** Durability engine (null when CloudConfig::persist is off). */
     std::unique_ptr<persist::CloudPersistence> persist_;
     std::optional<nn::BnPatch> recoveredCleanPatch_;
     int64_t recoveredCleanPatchTime_ = 0;
-    /** Last clean patch published by a cycle, as BnPatch::save text —
-     *  carried into snapshots so recovery can resume calibration. */
-    std::optional<std::string> lastCleanPatchText_;
-    int64_t lastCleanPatchTime_ = 0;
 };
 
 } // namespace nazar::sim

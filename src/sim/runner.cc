@@ -229,7 +229,6 @@ Runner::run()
     }
 
     CloudConfig cloud_config = config_.cloud;
-    cloud_config.ingestDedupWindow = config_.faults.dedupWindow;
     cloud_config.persist = config_.persist;
     // Remote mode: the cloud lives behind an ingest server; this
     // process holds only a protocol client. The socket itself is

@@ -32,6 +32,8 @@
 #include "persist/wal.h"
 #include "sim/cloud.h"
 
+#include "cloud_script.h"
+
 namespace nazar::persist {
 namespace {
 
@@ -225,22 +227,6 @@ TEST(EnvTest, RemoveIsBestEffortAndNeverLatches)
 // unanalyzed. Config difference: faults come from the Env, not the
 // CrashInjector.
 
-data::AppSpec &
-scriptApp()
-{
-    static data::AppSpec app = data::makeAnimalsApp(13, 8);
-    return app;
-}
-
-nn::Classifier &
-scriptBase()
-{
-    static nn::Classifier base(nn::Architecture::kResNet18,
-                               scriptApp().domain.featureDim(),
-                               scriptApp().domain.numClasses(), 5);
-    return base;
-}
-
 sim::CloudConfig
 scriptConfig(const std::string &dir, const DiskFaultPlan &plan,
              uint64_t snapshot_every = 8)
@@ -252,94 +238,6 @@ scriptConfig(const std::string &dir, const DiskFaultPlan &plan,
     config.persist.snapshotEvery = snapshot_every;
     config.persist.fault = plan;
     return config;
-}
-
-driftlog::DriftLogEntry
-scriptEntry(int i)
-{
-    driftlog::DriftLogEntry e;
-    e.time = SimDate(i % 14, (i * 37) % 86400);
-    int device = i % 3;
-    e.deviceId = data::deviceName(device);
-    e.deviceModel = data::deviceModel(device);
-    e.location = "tibet";
-    e.weather = i % 3 == 0 ? "snow" : "clear-day";
-    e.drift = i % 3 == 0;
-    return e;
-}
-
-std::optional<sim::Upload>
-scriptUpload(int i)
-{
-    if (i % 4 == 3)
-        return std::nullopt;
-    driftlog::DriftLogEntry e = scriptEntry(i);
-    sim::Upload up;
-    Rng rng(static_cast<uint64_t>(1000 + i));
-    int label =
-        static_cast<int>(rng.index(scriptApp().domain.numClasses()));
-    up.features = scriptApp().domain.sample(label, rng);
-    up.context = rca::AttributeSet({
-        {driftlog::columns::kWeather, driftlog::Value(e.weather)},
-        {driftlog::columns::kLocation, driftlog::Value(e.location)},
-        {driftlog::columns::kDeviceId, driftlog::Value(e.deviceId)},
-        {driftlog::columns::kDeviceModel,
-         driftlog::Value(e.deviceModel)},
-    });
-    up.driftFlag = e.drift;
-    return up;
-}
-
-/** Everything the sweep compares between a faulted run and the oracle. */
-struct CloudState
-{
-    std::string driftCsv;
-    size_t uploadCount = 0;
-    size_t totalIngested = 0;
-    size_t dedupHits = 0;
-    int64_t nextVersionId = 1;
-    int64_t logicalTime = 0;
-    std::vector<int64_t> versionIds;
-    std::vector<std::pair<std::string, std::string>> blobs;
-    std::map<int64_t, DedupWindow> dedup;
-};
-
-CloudState
-captureState(sim::Cloud &cloud)
-{
-    CloudState st;
-    std::ostringstream csv;
-    driftlog::writeCsv(cloud.driftLog().table(), csv);
-    st.driftCsv = csv.str();
-    st.uploadCount = cloud.uploadCount();
-    st.totalIngested = cloud.totalIngested();
-    st.dedupHits = cloud.dedupHits();
-    st.nextVersionId = cloud.nextVersionId();
-    st.logicalTime = cloud.logicalTime();
-    st.versionIds = cloud.registry().versionIds();
-    for (const auto &key : cloud.blobStore().list())
-        st.blobs.emplace_back(key, cloud.blobStore().get(key));
-    st.dedup = cloud.dedupSnapshot();
-    return st;
-}
-
-void
-expectStateEq(const CloudState &got, const CloudState &want,
-              const std::string &label, size_t fault_slack = 0)
-{
-    EXPECT_EQ(got.driftCsv, want.driftCsv) << label;
-    EXPECT_EQ(got.uploadCount, want.uploadCount) << label;
-    EXPECT_EQ(got.totalIngested, want.totalIngested) << label;
-    EXPECT_EQ(got.nextVersionId, want.nextVersionId) << label;
-    EXPECT_EQ(got.logicalTime, want.logicalTime) << label;
-    EXPECT_EQ(got.versionIds, want.versionIds) << label;
-    EXPECT_EQ(got.blobs, want.blobs) << label;
-    EXPECT_EQ(got.dedup, want.dedup) << label;
-    // A fault after the WAL append but before the in-memory apply
-    // makes the retry a retransmission the dedup window absorbs, at
-    // the cost of at most one extra dedup hit per fault.
-    EXPECT_GE(got.dedupHits, want.dedupHits) << label;
-    EXPECT_LE(got.dedupHits, want.dedupHits + fault_slack) << label;
 }
 
 /**
@@ -456,7 +354,7 @@ class DiskFaultCloudTest : public QuietLogs
 TEST_F(DiskFaultCloudTest, ExhaustiveDiskFaultSweepMatchesOracle)
 {
     // The oracle: the same script against an in-memory cloud.
-    CloudState oracle =
+    ObservedState oracle =
         captureState(*driveFaultScript("", {}, nullptr, nullptr));
 
     // Probe run: count how often the scenario reaches each Env site,
@@ -545,7 +443,7 @@ TEST_F(DiskFaultCloudTest, GcUnlinkFaultIsNonFatal)
     // Snapshot GC unlinks through Env::remove, which is best-effort:
     // an EIO there must not latch the log or perturb state — the
     // superseded file simply survives until the next GC pass.
-    CloudState oracle =
+    ObservedState oracle =
         captureState(*driveFaultScript("", {}, nullptr, nullptr));
     TempDir dir("gc_eio");
     size_t faults = 0;
@@ -616,7 +514,7 @@ TEST_F(DiskFaultCloudTest, SnapshotCadenceRecoversSameState)
     // A snapshot every 8 appends, every 64, or never (the WAL holds
     // everything) must give identical state, live and reopened.
     const uint64_t cadences[] = {8, 64, 0};
-    CloudState want =
+    ObservedState want =
         captureState(*driveFaultScript("", {}, nullptr, nullptr));
     for (uint64_t every : cadences) {
         const std::string label = "snapshotEvery=" + std::to_string(every);
@@ -644,7 +542,7 @@ TEST_F(DiskFaultCloudTest, SnapshotGcKeepsOnlyTheRecoveryChain)
     ASSERT_GT(cloud->persistence()->snapshotGcRemoved(), 0u);
     uint64_t head = cloud->persistence()->chainHeadId();
     ASSERT_GT(head, 0u);
-    CloudState live = captureState(*cloud);
+    ObservedState live = captureState(*cloud);
     cloud.reset();
 
     // Safety invariant: nothing recovery needs was removed.
@@ -712,7 +610,7 @@ TEST_F(DiskFaultCloudTest, RegistryGcSurvivesRecovery)
     EXPECT_EQ(cloud->registry().versionIds(),
               std::vector<int64_t>{keep});
     EXPECT_EQ(cloud->gcRegistryBelow(keep), 0u); // idempotent
-    CloudState live = captureState(*cloud);
+    ObservedState live = captureState(*cloud);
     cloud.reset();
 
     // The eviction is WAL-logged: a cold reopen replays it and does
@@ -863,7 +761,7 @@ malformedImages()
 
 TEST_F(DiskFaultCloudTest, HandBuiltImageMatchesEncodeSnapshotBytes)
 {
-    SnapshotData data;
+    CloudState data;
     data.lastWalSeq = 7;
     data.totalIngested = 40;
     data.driftLog = imageScriptLog();

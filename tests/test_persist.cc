@@ -31,6 +31,8 @@
 #include "persist/wal.h"
 #include "sim/cloud.h"
 
+#include "cloud_script.h"
+
 namespace nazar::persist {
 namespace {
 
@@ -456,10 +458,10 @@ TEST(WalTest, SyncModeNamesRoundTrip)
 
 // ---- snapshots ------------------------------------------------------
 
-SnapshotData
+CloudState
 sampleSnapshot()
 {
-    SnapshotData data;
+    CloudState data;
     data.lastWalSeq = 17;
     data.logicalTime = 3;
     data.nextVersionId = 9;
@@ -484,8 +486,8 @@ sampleSnapshot()
     u.driftFlag = true;
     data.uploads.push_back(u);
     data.dedup[3] = DedupWindow{2, {5, 6, 9}};
-    data.blobs.emplace_back("versions/1/meta", "meta-bytes");
-    data.blobs.emplace_back("versions/1/patch", "patch-bytes");
+    data.blobs.put("versions/1/meta", "meta-bytes");
+    data.blobs.put("versions/1/patch", "patch-bytes");
     data.cleanPatchText = "fake patch text";
     data.cleanPatchTime = 2;
     return data;
@@ -508,7 +510,7 @@ expectTableImageEq(const driftlog::Table &a, const driftlog::Table &b)
 }
 
 void
-expectSnapshotEq(const SnapshotData &a, const SnapshotData &b)
+expectSnapshotEq(const CloudState &a, const CloudState &b)
 {
     EXPECT_EQ(a.lastWalSeq, b.lastWalSeq);
     EXPECT_EQ(a.logicalTime, b.logicalTime);
@@ -530,8 +532,8 @@ expectSnapshotEq(const SnapshotData &a, const SnapshotData &b)
 
 TEST(SnapshotTest, EncodeDecodeRoundTrip)
 {
-    SnapshotData data = sampleSnapshot();
-    SnapshotData back = decodeSnapshot(encodeSnapshot(data));
+    CloudState data = sampleSnapshot();
+    CloudState back = decodeSnapshot(encodeSnapshot(data));
     expectSnapshotEq(data, back);
 }
 
@@ -540,7 +542,7 @@ TEST(SnapshotTest, FileRoundTripAndCorruptionFallback)
     TempDir dir("snap");
     CrashInjector injector;
     Env env;
-    SnapshotData data = sampleSnapshot();
+    CloudState data = sampleSnapshot();
     ChainHeader header;
     header.id = 1;
     header.lastWalSeq = data.lastWalSeq;
@@ -576,7 +578,7 @@ slurpBytes(const fs::path &path)
  * cells, NaN/±inf/-0 in upload features and context values, uploads
  * without features, dedup windows, empty blobs and patch text.
  */
-SnapshotData
+CloudState
 randomSnapshot(Rng &rng, size_t rows)
 {
     using driftlog::Value;
@@ -590,7 +592,7 @@ randomSnapshot(Rng &rng, size_t rows)
     auto maybeNull = [&](Value v) {
         return rng.bernoulli(0.1) ? Value() : v;
     };
-    SnapshotData data;
+    CloudState data;
     data.logicalTime = rng.uniformInt(0, 9);
     data.nextVersionId = rng.uniformInt(1, 9);
     data.totalIngested = rng.index(1000);
@@ -620,12 +622,12 @@ randomSnapshot(Rng &rng, size_t rows)
     for (int64_t device = 0; device < devices; ++device) {
         DedupWindow window{rng.index(5), {}};
         for (size_t n = rng.index(6); n > 0; --n)
-            window.seen.push_back(window.floor + window.seen.size());
+            window.seen.insert(window.floor + window.seen.size());
         data.dedup[device] = std::move(window);
     }
     for (size_t b = rng.index(3); b > 0; --b)
-        data.blobs.emplace_back("versions/" + std::to_string(b) + "/meta",
-                                std::string(rng.index(40), 'm'));
+        data.blobs.put("versions/" + std::to_string(b) + "/meta",
+                       std::string(rng.index(40), 'm'));
     if (rng.bernoulli(0.5)) {
         data.cleanPatchText = std::string(rng.index(30), 'p');
         data.cleanPatchTime = rng.uniformInt(0, 9);
@@ -644,11 +646,12 @@ TEST(SnapshotTest, ReusedBufferFilesMatchFreshEncoding)
     PersistConfig config;
     config.dir = dir.path.string();
     config.snapshotEvery = 0;
-    CloudPersistence persist(config, /*dedup_window=*/8);
+    CloudState recovered;
+    CloudPersistence persist(config, /*dedup_window=*/8, recovered);
     Rng rng(20261019);
     for (size_t rows : {400, 3, 0, 250, 1, 120, 0, 60}) {
         SCOPED_TRACE("rows " + std::to_string(rows));
-        SnapshotData data = randomSnapshot(rng, rows);
+        CloudState data = randomSnapshot(rng, rows);
         for (size_t flushes = rng.index(3); flushes > 0; --flushes)
             persist.logFlush(); // vary lastWalSeq
         persist.writeSnapshot(data);
@@ -806,22 +809,6 @@ TEST(CrashInjectorTest, SeededHitIsInRangeAndDeterministic)
 
 // ---- scripted cloud scenario + crash sweep --------------------------
 
-data::AppSpec &
-scriptApp()
-{
-    static data::AppSpec app = data::makeAnimalsApp(13, 8);
-    return app;
-}
-
-nn::Classifier &
-scriptBase()
-{
-    static nn::Classifier base(nn::Architecture::kResNet18,
-                               scriptApp().domain.featureDim(),
-                               scriptApp().domain.numClasses(), 5);
-    return base;
-}
-
 sim::CloudConfig
 scriptConfig(const std::string &dir, uint64_t crash_at)
 {
@@ -832,75 +819,6 @@ scriptConfig(const std::string &dir, uint64_t crash_at)
     config.persist.snapshotEvery = 8; // snapshot often inside the script
     config.persist.crashAtHit = crash_at;
     return config;
-}
-
-driftlog::DriftLogEntry
-scriptEntry(int i)
-{
-    driftlog::DriftLogEntry e;
-    e.time = SimDate(i % 14, (i * 37) % 86400);
-    int device = i % 3;
-    e.deviceId = data::deviceName(device);
-    e.deviceModel = data::deviceModel(device);
-    e.location = "tibet";
-    e.weather = i % 3 == 0 ? "snow" : "clear-day";
-    e.drift = i % 3 == 0; // deterministic planted cause {weather=snow}
-    return e;
-}
-
-std::optional<sim::Upload>
-scriptUpload(int i)
-{
-    if (i % 4 == 3)
-        return std::nullopt; // some entries arrive without a sample
-    driftlog::DriftLogEntry e = scriptEntry(i);
-    sim::Upload up;
-    Rng rng(static_cast<uint64_t>(1000 + i));
-    int label =
-        static_cast<int>(rng.index(scriptApp().domain.numClasses()));
-    up.features = scriptApp().domain.sample(label, rng);
-    up.context = rca::AttributeSet({
-        {driftlog::columns::kWeather, driftlog::Value(e.weather)},
-        {driftlog::columns::kLocation, driftlog::Value(e.location)},
-        {driftlog::columns::kDeviceId, driftlog::Value(e.deviceId)},
-        {driftlog::columns::kDeviceModel,
-         driftlog::Value(e.deviceModel)},
-    });
-    up.driftFlag = e.drift;
-    return up;
-}
-
-/** Everything the sweep compares between a crashed run and the oracle. */
-struct CloudState
-{
-    std::string driftCsv;
-    size_t uploadCount = 0;
-    size_t totalIngested = 0;
-    size_t dedupHits = 0;
-    int64_t nextVersionId = 1;
-    int64_t logicalTime = 0;
-    std::vector<int64_t> versionIds;
-    std::vector<std::pair<std::string, std::string>> blobs;
-    std::map<int64_t, DedupWindow> dedup;
-};
-
-CloudState
-captureState(sim::Cloud &cloud)
-{
-    CloudState st;
-    std::ostringstream csv;
-    driftlog::writeCsv(cloud.driftLog().table(), csv);
-    st.driftCsv = csv.str();
-    st.uploadCount = cloud.uploadCount();
-    st.totalIngested = cloud.totalIngested();
-    st.dedupHits = cloud.dedupHits();
-    st.nextVersionId = cloud.nextVersionId();
-    st.logicalTime = cloud.logicalTime();
-    st.versionIds = cloud.registry().versionIds();
-    for (const auto &key : cloud.blobStore().list())
-        st.blobs.emplace_back(key, cloud.blobStore().get(key));
-    st.dedup = cloud.dedupSnapshot();
-    return st;
 }
 
 /**
@@ -1000,11 +918,11 @@ TEST_F(PersistCloudTest, PersistedRunMatchesInMemoryRun)
     // Persistence on (no crash) must not change a single observable
     // output relative to a cloud without the persist layer.
     TempDir dir("equiv");
-    CloudState oracle =
+    ObservedState oracle =
         captureState(*driveScript("", 0, nullptr, nullptr));
     auto persisted =
         driveScript(dir.path.string(), 0, nullptr, nullptr);
-    CloudState on = captureState(*persisted);
+    ObservedState on = captureState(*persisted);
     EXPECT_EQ(on.driftCsv, oracle.driftCsv);
     EXPECT_EQ(on.uploadCount, oracle.uploadCount);
     EXPECT_EQ(on.totalIngested, oracle.totalIngested);
@@ -1021,11 +939,11 @@ TEST_F(PersistCloudTest, PersistedRunMatchesInMemoryRun)
 TEST_F(PersistCloudTest, ReopenRestoresFullState)
 {
     TempDir dir("reopen");
-    CloudState before =
+    ObservedState before =
         captureState(*driveScript(dir.path.string(), 0, nullptr, nullptr));
     // A brand-new cloud over the same directory recovers everything.
     sim::Cloud reopened(scriptConfig(dir.path.string(), 0), scriptBase());
-    CloudState after = captureState(reopened);
+    ObservedState after = captureState(reopened);
     EXPECT_EQ(after.driftCsv, before.driftCsv);
     EXPECT_EQ(after.uploadCount, before.uploadCount);
     EXPECT_EQ(after.totalIngested, before.totalIngested);
@@ -1056,7 +974,7 @@ TEST_F(PersistCloudTest, NonDedupIngestIsReplayedToo)
 TEST_F(PersistCloudTest, ExhaustiveCrashSweepMatchesOracle)
 {
     // The oracle: the same script against an in-memory cloud.
-    CloudState oracle =
+    ObservedState oracle =
         captureState(*driveScript("", 0, nullptr, nullptr));
 
     // Probe run: count every crash site the scenario reaches.
@@ -1080,7 +998,7 @@ TEST_F(PersistCloudTest, ExhaustiveCrashSweepMatchesOracle)
             driveScript(dir.path.string(), hit, &crashes, &sites);
         ASSERT_EQ(crashes, 1u) << "hit " << hit;
         fired_sites.insert(sites[0]);
-        CloudState got = captureState(*cloud);
+        ObservedState got = captureState(*cloud);
         EXPECT_EQ(got.driftCsv, oracle.driftCsv) << "hit " << hit;
         EXPECT_EQ(got.uploadCount, oracle.uploadCount) << "hit " << hit;
         EXPECT_EQ(got.totalIngested, oracle.totalIngested)
@@ -1132,8 +1050,8 @@ TEST_F(PersistCloudTest, RecoveredImageStateMatchesCsvOracle)
     RecoveredState st = recoverDir(dir.path, /*dedup_window=*/8);
     EXPECT_TRUE(st.snapshotLoaded);
     EXPECT_EQ(st.replayedRecords, 0u); // all of it came from the image
-    expectCellsEq(st.log.table(), oracle);
-    expectTableImageEq(st.log.table(), oracle);
+    expectCellsEq(st.driftLog.table(), oracle);
+    expectTableImageEq(st.driftLog.table(), oracle);
     EXPECT_EQ(st.uploads.size(), uploads);
 
     sim::Cloud reopened(config, scriptBase());
@@ -1145,13 +1063,13 @@ TEST_F(PersistCloudTest, RecoverDirMatchesLiveState)
     TempDir dir("recover_dir");
     auto cloud =
         driveScript(dir.path.string(), 0, nullptr, nullptr);
-    CloudState live = captureState(*cloud);
+    ObservedState live = captureState(*cloud);
     // recoverDir() is read-only: it must see exactly what a reopened
     // cloud would adopt, and leave the files untouched.
     RecoveredState st =
         recoverDir(dir.path, /*dedup_window=*/8);
     std::ostringstream csv;
-    driftlog::writeCsv(st.log.table(), csv);
+    driftlog::writeCsv(st.driftLog.table(), csv);
     EXPECT_EQ(csv.str(), live.driftCsv);
     EXPECT_EQ(st.uploads.size(), live.uploadCount);
     EXPECT_EQ(st.totalIngested, live.totalIngested);
@@ -1160,6 +1078,69 @@ TEST_F(PersistCloudTest, RecoverDirMatchesLiveState)
     EXPECT_EQ(st.dedup, live.dedup);
     RecoveredState again = recoverDir(dir.path, 8);
     EXPECT_EQ(again.totalIngested, st.totalIngested);
+
+    // The rest of the state, against the live cloud's own: every
+    // blob, the dedup count, each upload's contents, the clean patch,
+    // the WAL position, and the drift log cell by cell.
+    std::vector<std::pair<std::string, std::string>> blobs(
+        st.blobs.begin(), st.blobs.end());
+    EXPECT_EQ(blobs, live.blobs);
+    EXPECT_EQ(st.dedupHits, live.dedupHits);
+    const CloudState want = cloud->durableState();
+    EXPECT_EQ(st.blobs, want.blobs);
+    EXPECT_EQ(st.dedupHits, want.dedupHits);
+    ASSERT_EQ(st.uploads.size(), want.uploads.size());
+    for (size_t i = 0; i < want.uploads.size(); ++i) {
+        SCOPED_TRACE("upload " + std::to_string(i));
+        EXPECT_EQ(st.uploads[i].features, want.uploads[i].features);
+        EXPECT_EQ(st.uploads[i].context, want.uploads[i].context);
+        EXPECT_EQ(st.uploads[i].driftFlag, want.uploads[i].driftFlag);
+    }
+    ASSERT_TRUE(want.cleanPatchText.has_value());
+    EXPECT_EQ(st.cleanPatchText, want.cleanPatchText);
+    EXPECT_EQ(st.cleanPatchTime, want.cleanPatchTime);
+    EXPECT_EQ(st.dedup, want.dedup);
+    EXPECT_EQ(st.totalIngested, want.totalIngested);
+    EXPECT_EQ(st.nextVersionId, want.nextVersionId);
+    EXPECT_EQ(st.logicalTime, want.logicalTime);
+    EXPECT_EQ(st.lastWalSeq, want.lastWalSeq);
+    expectCellsEq(st.driftLog.table(), want.driftLog.table());
+}
+
+TEST_F(PersistCloudTest, ReopenThenCheckpointRewritesTheLoadedPayload)
+{
+    // A cloud reopened from a directory that holds only a snapshot and
+    // checkpointed at once must write back the payload it loaded, byte
+    // for byte: holding the recovered state loses nothing.
+    TempDir dir("reopen_checkpoint");
+    driveScript(dir.path.string(), 0, nullptr, nullptr)->checkpoint();
+    fs::remove(dir.path / "wal.log");
+    auto only_snapshot = [&]() {
+        std::vector<fs::path> files;
+        for (const auto &entry : fs::directory_iterator(dir.path))
+            files.push_back(entry.path());
+        EXPECT_EQ(files.size(), 1u);
+        std::optional<ChainFile> file = loadChainFile(files.at(0));
+        EXPECT_TRUE(file.has_value()) << files.at(0);
+        return file.value_or(ChainFile{});
+    };
+    const ChainFile loaded = only_snapshot();
+    // The script leaves every part of the state non-empty.
+    const auto state = decodeSnapshot(loaded.payload);
+    EXPECT_GT(state.driftLog.size(), 0u);
+    EXPECT_GT(state.uploads.size(), 0u);
+    EXPECT_GT(state.dedup.size(), 0u);
+    EXPECT_GT(state.dedupHits, 0u);
+    EXPECT_GT(std::distance(state.blobs.begin(), state.blobs.end()), 0);
+    EXPECT_TRUE(state.cleanPatchText.has_value());
+
+    sim::Cloud(scriptConfig(dir.path.string(), 0), scriptBase())
+        .checkpoint();
+    fs::remove(dir.path / "wal.log");
+    const ChainFile written = only_snapshot();
+    EXPECT_EQ(written.header.id, loaded.header.id + 1);
+    EXPECT_EQ(written.header.lastWalSeq, loaded.header.lastWalSeq);
+    EXPECT_EQ(written.payload, loaded.payload);
 }
 
 /** A directory holding one snapshot (rows 0-9) and, after it, three

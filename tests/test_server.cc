@@ -482,7 +482,6 @@ TEST_F(ServerTest, RemoteRunMatchesInProcessWindowForWindow)
     // The server's cloud gets the exact configuration the in-process
     // runner would have built.
     sim::CloudConfig cloud_config = config.cloud;
-    cloud_config.ingestDedupWindow = config.faults.dedupWindow;
     sim::Cloud cloud(cloud_config, base);
     IngestServer server(cloud);
     server.start();
@@ -833,7 +832,6 @@ TEST_F(ServerTest, RemoteRunSurvivesMidRunRestartWindowForWindow)
     // inside window 1's stream and far from any cycle commit.
     TempDir dir("remote_restart");
     sim::CloudConfig cloud_config = config.cloud;
-    cloud_config.ingestDedupWindow = config.faults.dedupWindow;
     cloud_config.persist.dir = dir.path.string();
     cloud_config.persist.snapshotEvery = 128;
     cloud_config.persist.crashAtHit = 3;

@@ -93,6 +93,7 @@
 #include "net/fault.h"
 #include "data/apps.h"
 #include "data/stream.h"
+#include "deploy/registry.h"
 #include "driftlog/csv.h"
 #include "driftlog/drift_log.h"
 #include "driftlog/sql.h"
@@ -451,17 +452,14 @@ cmdRecover(const std::string &dir)
                     static_cast<unsigned long long>(st.truncatedBytes));
     std::printf("\n");
 
-    size_t versions = 0;
-    for (const auto &[key, bytes] : st.blobs)
-        if (key.size() > 5 &&
-            key.compare(key.size() - 5, 5, "/meta") == 0)
-            ++versions;
+    const size_t versions = deploy::ModelRegistry(st.blobs).size();
     TablePrinter state({"recovered state", "value"});
     state.addRow({"pending drift-log rows",
-                  TablePrinter::num(st.log.size())});
+                  TablePrinter::num(st.driftLog.size())});
     state.addRow({"pending uploads", TablePrinter::num(st.uploads.size())});
     state.addRow({"registry versions", TablePrinter::num(versions)});
-    state.addRow({"registry blobs", TablePrinter::num(st.blobs.size())});
+    state.addRow(
+        {"registry blobs", TablePrinter::num(st.blobs.blobCount())});
     state.addRow({"dedup windows", TablePrinter::num(st.dedup.size())});
     state.addRow({"dedup hits", TablePrinter::num(st.dedupHits)});
     state.addRow({"total ingested", TablePrinter::num(st.totalIngested)});
